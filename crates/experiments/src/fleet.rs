@@ -14,9 +14,7 @@
 //! cargo run -p dejavu-experiments --release -- fleet --tenants 8 --snapshot-in fleet.snap
 //! # elastic tenancy: staggered late joiners + mid-run departures:
 //! cargo run -p dejavu-experiments --release -- fleet --tenants 40 --churn
-//! # free-running tenants, views at most 2 epochs stale:
-//! cargo run -p dejavu-experiments --release -- fleet --transport async --staleness 2
-//! # the same consistency on a 4-thread work-stealing pool (1000+-tenant scale):
+//! # a 4-thread work-stealing pool, views at most 1 epoch stale:
 //! cargo run -p dejavu-experiments --release -- fleet --transport steal --threads 4 --staleness 1
 //! # drop never-hit entries when persisting:
 //! cargo run -p dejavu-experiments --release -- fleet --snapshot-out fleet.snap --snapshot-compact
@@ -30,8 +28,8 @@
 //! With `--snapshot-in` the report carries the newcomer-convergence numbers
 //! (mean epochs to the first `FleetReuse`) that show a warm-started tenant
 //! skipping the learning phase the DejaVu paper sets out to amortize. With
-//! `--transport async` or `--transport steal` the report additionally
-//! carries the observed-staleness telemetry of the asynchronous transports.
+//! `--transport steal` the report additionally carries the observed-staleness
+//! telemetry of the asynchronous transport.
 //! The `--transport` name goes through the typed
 //! [`TransportConfig::parse`], so an unknown backend is a clear error
 //! listing the valid choices rather than a panic.
@@ -75,18 +73,19 @@ pub struct FleetOptions {
     /// (implies nothing about `obs`; the CLI sets both).
     pub obs_out: Option<String>,
     /// Inject a deterministic fault schedule into the shared fleet
-    /// (`--faults SEED` or `--faults SEED:kind,...`). Requires an async
-    /// transport — the BSP barrier has no report path to fault.
+    /// (`--faults SEED` or `--faults SEED:kind,...`). Requires the
+    /// work-stealing transport — the BSP barrier has no report path to fault.
     pub faults: Option<FaultSpec>,
     /// Compact the recovery delta chains every N commits per shard
     /// (`--checkpoint-every N`; 0 keeps every delta). Only meaningful with
-    /// an async transport; recording itself is always on during fault runs.
+    /// the work-stealing transport; recording itself is always on during
+    /// fault runs.
     pub checkpoint_every: usize,
     /// Spill the shared fleet's delta-chain checkpoints to a durable
     /// on-disk store at this directory (`--checkpoint-dir PATH`): every
     /// commit is crash-safe before it acknowledges, and the directory
-    /// replays to the final repository state. Requires an async transport
-    /// and an in-process repository.
+    /// replays to the final repository state. Requires the work-stealing
+    /// transport and an in-process repository.
     pub checkpoint_dir: Option<String>,
     /// Drive the shared fleet against a `dejavu-serve` daemon at this TCP
     /// address instead of an in-process repository (`--repo
@@ -108,7 +107,8 @@ pub struct FleetFigure {
 }
 
 impl FleetFigure {
-    /// Renders the comparison as a text report.
+    /// Renders the comparison as a text report: one key/value table, each
+    /// fact printed once.
     pub fn report(&self) -> Report {
         let mut r = Report::new("Fleet: shared vs isolated signature repositories");
         r.kv("tenants", self.shared.tenants.len());
@@ -152,13 +152,28 @@ impl FleetFigure {
             r.kv(
                 "recovery",
                 format!(
-                    "{} crashes replayed over {} epochs, {} committer restarts, \
-                     {} shard losses, {} checkpoints",
+                    "{} crashes replayed over {} epochs, {} drops, {} dups, {} reorders, \
+                     {} committer restarts, {} shard losses, {} checkpoints \
+                     ({} compactions, chain peak {})",
                     f.tenants_crashed,
                     f.replayed_epochs,
+                    f.reports_dropped,
+                    f.reports_duplicated,
+                    f.reports_reordered,
                     f.committer_restarts,
                     f.shard_losses,
-                    f.checkpoints
+                    f.checkpoints,
+                    f.compactions,
+                    f.chain_peak
+                ),
+            );
+        }
+        if self.shared.tenants_failed() > 0 {
+            r.kv(
+                "tenants failed",
+                format!(
+                    "{} (panicked and retired; survivors finished)",
+                    self.shared.tenants_failed()
                 ),
             );
         }
@@ -209,15 +224,15 @@ impl FleetFigure {
             r.kv(
                 "shared repo",
                 format!(
-                    "{} entries / {} anchors / {} shards",
+                    "{} entries / {} anchors / {} shards; {} inserts, {} evictions",
                     repo.entries,
                     repo.anchors,
-                    repo.shard_stats.len()
+                    repo.shard_stats.len(),
+                    repo.stats.insertions,
+                    repo.stats.evictions
                 ),
             );
         }
-        r.line("");
-        r.line(self.shared.render());
         if let Some(obs) = &self.obs {
             r.line("");
             r.line(obs.render());
@@ -239,8 +254,8 @@ pub fn run_opts(opts: &FleetOptions) -> Result<FleetFigure, Box<dyn std::error::
     // fault recovery, which the barrier transport doesn't have.
     if opts.checkpoint_dir.is_some() && opts.transport == TransportConfig::Bsp {
         return Err(
-            "--checkpoint-dir needs an async transport (bounded-staleness or \
-             work-stealing): the bsp barrier has no commit-boundary capture path"
+            "--checkpoint-dir needs the async transport ('steal'): the bsp barrier \
+             has no commit-boundary capture path"
                 .into(),
         );
     }
@@ -442,7 +457,7 @@ mod tests {
     }
 
     #[test]
-    fn async_transport_runs_and_reports_staleness() {
+    fn work_stealing_transport_runs_on_a_capped_pool_and_reports_staleness() {
         let bsp = run_opts(&FleetOptions {
             seed: 3,
             tenants: 6,
@@ -450,46 +465,59 @@ mod tests {
             ..Default::default()
         })
         .expect("bsp run");
-        let k = 2;
-        let fig = run_opts(&FleetOptions {
-            seed: 3,
-            tenants: 6,
-            days: 1,
-            transport: TransportConfig::BoundedStaleness { staleness: k },
-            ..Default::default()
-        })
-        .expect("async run");
-        assert_eq!(fig.shared.transport.name, "async(staleness=2)");
-        assert!(fig.shared.transport.view_staleness.max() <= k);
-        let text = fig.report().into_text();
-        assert!(text.contains("view staleness"));
+        for k in [1, 2] {
+            let fig = run_opts(&FleetOptions {
+                seed: 3,
+                tenants: 6,
+                days: 1,
+                transport: TransportConfig::WorkStealing {
+                    threads: 2,
+                    staleness: k,
+                },
+                ..Default::default()
+            })
+            .expect("steal run");
+            assert_eq!(
+                fig.shared.transport.name,
+                format!("steal(threads=2,staleness={k})")
+            );
+            assert!(fig.shared.transport.view_staleness.max() <= k);
+            assert!(fig.report().into_text().contains("view staleness"));
+        }
         // The BSP report stays free of transport telemetry lines.
         assert!(!bsp.report().into_text().contains("view staleness"));
     }
 
     #[test]
-    fn work_stealing_transport_runs_on_a_capped_pool_and_reports_staleness() {
-        let fig = run_opts(&FleetOptions {
-            seed: 3,
-            tenants: 6,
-            days: 1,
-            transport: TransportConfig::WorkStealing {
-                threads: 2,
-                staleness: 1,
-                adaptive: false,
-            },
-            ..Default::default()
-        })
-        .expect("steal run");
-        assert_eq!(fig.shared.transport.name, "steal(threads=2,staleness=1)");
-        assert!(fig.shared.transport.view_staleness.max() <= 1);
-        assert!(fig.report().into_text().contains("view staleness"));
+    fn the_fleet_report_prints_each_result_once() {
+        let fig = run_with(3, 6, 1, true);
+        let text = fig.report().into_text();
+        let shared = &fig.shared;
+        for value in [
+            pct(shared.fleet_hit_rate()),
+            format!("${:.2}", shared.total_cost()),
+            format!(
+                "${:.2}",
+                shared.total_fixed_max_cost().expect("baselines ran")
+            ),
+            format!(
+                "${:.2}",
+                shared.total_rightscale_cost().expect("baselines ran")
+            ),
+            format!(
+                "{} entries",
+                shared.shared_repo.as_ref().expect("shared").entries
+            ),
+        ] {
+            assert_eq!(text.matches(&value).count(), 1, "'{value}' in\n{text}");
+        }
     }
 
     #[test]
     fn unknown_transport_names_parse_to_a_helpful_error() {
         let err = TransportConfig::parse("tokio", 4, 1).expect_err("unknown backend");
         assert!(err.contains("'tokio'"), "{err}");
+        assert!(err.contains("'bsp'"), "{err}");
         assert!(err.contains("'steal'"), "{err}");
     }
 
@@ -503,7 +531,10 @@ mod tests {
         };
         let clean = run_opts(&base).expect("fault-free run");
         let faulty = run_opts(&FleetOptions {
-            transport: TransportConfig::BoundedStaleness { staleness: 0 },
+            transport: TransportConfig::WorkStealing {
+                threads: 2,
+                staleness: 0,
+            },
             faults: Some(FaultSpec::parse("42").expect("valid spec")),
             checkpoint_every: 4,
             ..base
@@ -670,7 +701,10 @@ mod tests {
         assert!(err.to_string().contains("serving side"), "{err}");
         let err = run_opts(&FleetOptions {
             repo_remote: Some(addr),
-            transport: TransportConfig::BoundedStaleness { staleness: 0 },
+            transport: TransportConfig::WorkStealing {
+                threads: 2,
+                staleness: 0,
+            },
             faults: Some(FaultSpec::parse("42").expect("valid spec")),
             ..base
         })
@@ -722,7 +756,10 @@ mod tests {
             seed: 3,
             tenants: 6,
             days: 1,
-            transport: TransportConfig::BoundedStaleness { staleness: 0 },
+            transport: TransportConfig::WorkStealing {
+                threads: 2,
+                staleness: 0,
+            },
             checkpoint_every: 4,
             checkpoint_dir: Some(ckpt.to_string_lossy().into_owned()),
             snapshot_out: Some(snap.clone()),
@@ -771,7 +808,10 @@ mod tests {
             seed: 3,
             tenants: 2,
             days: 1,
-            transport: TransportConfig::BoundedStaleness { staleness: 0 },
+            transport: TransportConfig::WorkStealing {
+                threads: 2,
+                staleness: 0,
+            },
             checkpoint_dir: Some("unused-dir".into()),
             repo_remote: Some(addr),
             ..Default::default()

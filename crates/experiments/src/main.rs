@@ -5,11 +5,10 @@
 //! cargo run -p dejavu-experiments --release -- fig6 fig8 --seed 7
 //! cargo run -p dejavu-experiments --release -- fleet --tenants 40 --snapshot-out fleet.snap
 //! cargo run -p dejavu-experiments --release -- fleet --tenants 8 --snapshot-in fleet.snap --churn
-//! cargo run -p dejavu-experiments --release -- fleet --transport async --staleness 2
 //! cargo run -p dejavu-experiments --release -- fleet --transport steal --threads 4 --staleness 1
 //! cargo run -p dejavu-experiments --release -- fleet --obs --obs-out fleet-obs.json
-//! cargo run -p dejavu-experiments --release -- fleet --transport async --faults 42 --checkpoint-every 8
-//! cargo run -p dejavu-experiments --release -- fleet --transport async --checkpoint-dir fleet-ckpt/
+//! cargo run -p dejavu-experiments --release -- fleet --transport steal --faults 42 --checkpoint-every 8
+//! cargo run -p dejavu-experiments --release -- fleet --transport steal --checkpoint-dir fleet-ckpt/
 //! cargo run -p dejavu-experiments --release -- fleet --repo remote:127.0.0.1:7117
 //! ```
 
@@ -26,7 +25,7 @@ fn main() {
         baselines: true,
         ..Default::default()
     };
-    // `--transport async|steal` defaults to 1 epoch of staleness;
+    // `--transport steal` defaults to 1 epoch of staleness;
     // `--staleness` overrides it (0 bit-matches the BSP barrier) and
     // `--threads` caps the work-stealing pool. The name itself goes through
     // the typed `TransportConfig::parse`, so an unknown backend is a clear
@@ -42,22 +41,34 @@ fn main() {
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
         if arg == "--seed" {
-            if let Some(v) = it.next() {
-                seed = v.parse().unwrap_or(1);
+            match it.next().and_then(|v| v.parse().ok()) {
+                Some(v) => seed = v,
+                None => {
+                    eprintln!("--seed needs a non-negative integer");
+                    std::process::exit(2);
+                }
             }
         } else if arg == "--tenants" {
-            if let Some(v) = it.next() {
-                fleet_opts.tenants = v.parse().unwrap_or(40);
+            match it.next().and_then(|v| v.parse().ok()) {
+                Some(n) => fleet_opts.tenants = n,
+                None => {
+                    eprintln!("--tenants needs a tenant count");
+                    std::process::exit(2);
+                }
             }
         } else if arg == "--days" {
-            if let Some(v) = it.next() {
-                fleet_opts.days = v.parse().unwrap_or(3);
+            match it.next().and_then(|v| v.parse().ok()) {
+                Some(n) => fleet_opts.days = n,
+                None => {
+                    eprintln!("--days needs a day count");
+                    std::process::exit(2);
+                }
             }
         } else if arg == "--transport" {
             match it.next() {
                 Some(v) => transport_name = Some(v.clone()),
                 None => {
-                    eprintln!("--transport needs a backend name ('bsp', 'async' or 'steal')");
+                    eprintln!("--transport needs a backend name ('bsp' or 'steal')");
                     std::process::exit(2);
                 }
             }

@@ -1,4 +1,5 @@
-//! Deterministic fault injection for the asynchronous transports.
+//! Deterministic fault injection for the asynchronous (work-stealing)
+//! transport.
 //!
 //! A [`FaultSpec`] is the operator-facing configuration (`--faults
 //! "SEED[:kind,...]"`): a seed plus the subset of fault kinds to inject. It
@@ -30,7 +31,7 @@
 //! * **shard-loss** ([`FaultKind::ShardLoss`]) — a whole repository shard is
 //!   wiped at a commit boundary and warm re-seeded from the delta chain.
 //!
-//! Injection lives entirely inside the async transports' report path; the
+//! Injection lives entirely inside the async transport's report path; the
 //! BSP barrier has no report path to fault, so a spec aimed at it is a
 //! configuration error ([`FaultSpecError::BackendUnsupported`]).
 
@@ -161,7 +162,7 @@ impl fmt::Display for FaultSpecError {
             FaultSpecError::BackendUnsupported { backend } => write!(
                 f,
                 "transport '{backend}' cannot inject faults: fault injection lives in the \
-                 asynchronous report path; use 'async' or 'steal'"
+                 asynchronous report path; use 'steal'"
             ),
         }
     }

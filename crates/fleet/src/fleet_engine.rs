@@ -15,15 +15,13 @@
 //!   outboxes **in tenant order** and applies them, then runs TTL eviction.
 //!   Mid-epoch the shared store never changes, so the fleet result is a pure
 //!   function of the scenario — independent of thread count or OS scheduling.
-//! * [`TransportConfig::BoundedStaleness`] — free-running tenant threads
-//!   whose views trail their shard's commit frontier by at most `K` epochs.
-//!   `K = 0` bit-matches the barrier; `K > 0` trades bitwise result
-//!   reproducibility for pipeline parallelism.
-//! * [`TransportConfig::WorkStealing`] — the same consistency model on a
-//!   fixed pool of worker threads pulling per-epoch tenant tasks from a
-//!   shared deque: 1000+-tenant fleets without 1000 threads. Results are
-//!   invariant to the thread cap; `K = 0` bit-matches the barrier (fuzzed
-//!   across scenarios in `tests/differential.rs`).
+//! * [`TransportConfig::WorkStealing`] — the asynchronous backend: a fixed
+//!   pool of worker threads pulls per-epoch tenant tasks from a shared
+//!   deque, and each tenant's view trails its shard's commit frontier by at
+//!   most `K` epochs. `K = 0` bit-matches the barrier; `K > 0` trades
+//!   bitwise result reproducibility for pipeline parallelism. Results are
+//!   invariant to the thread count (fuzzed across scenarios in
+//!   `tests/differential.rs`).
 //!
 //! # Elastic tenancy
 //!
@@ -80,9 +78,8 @@ pub struct FleetConfig {
     /// Repository sharing mode.
     pub sharing: SharingMode,
     /// Worker threads for the barrier transport and tenant finalization;
-    /// 0 means "one per available core". The bounded-staleness transport
-    /// runs one thread per tenant regardless, and the work-stealing
-    /// transport sizes its pool from its own `threads` field.
+    /// 0 means "one per available core". The work-stealing transport sizes
+    /// its pool from its own `threads` field.
     pub workers: usize,
     /// Shared-repository sharding/TTL configuration.
     pub repo: SharedRepoConfig,
@@ -102,9 +99,9 @@ pub struct FleetConfig {
     /// [`SharedSignatureRepository::with_recorder`] if they want store-level
     /// probes too (clones share storage).
     pub recorder: Recorder,
-    /// Deterministic fault plan injected into the asynchronous transports
+    /// Deterministic fault plan injected into the work-stealing transport
     /// (`None` — the default — injects nothing and costs nothing). Requires
-    /// a shared-mode fleet on an async transport; see
+    /// a shared-mode fleet on that transport; see
     /// [`TransportConfig::check_faults`].
     pub faults: Option<FaultSpec>,
     /// Delta-checkpoint chain compaction cadence for fault-injected (or
@@ -116,7 +113,7 @@ pub struct FleetConfig {
     /// is crash-safe on disk before the commit acknowledges, and the
     /// directory replays to the final repository state. `None` (the
     /// default) keeps checkpoints in memory. Requires a shared-mode fleet
-    /// on an async transport with an in-process repository.
+    /// on the work-stealing transport with an in-process repository.
     pub checkpoint_dir: Option<String>,
 }
 
@@ -633,11 +630,13 @@ mod tests {
         };
         for transport in [
             TransportConfig::Bsp,
-            TransportConfig::BoundedStaleness { staleness: 1 },
+            TransportConfig::WorkStealing {
+                threads: 1,
+                staleness: 1,
+            },
             TransportConfig::WorkStealing {
                 threads: 2,
                 staleness: 0,
-                adaptive: false,
             },
         ] {
             let engine = FleetEngine::new(tiny_scenario(3), FleetConfig::default());
@@ -798,27 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_staleness_zero_matches_the_barrier_on_a_tiny_fleet() {
-        let bsp = FleetEngine::new(tiny_scenario(3), FleetConfig::default()).run();
-        let async0 = FleetEngine::new(
-            tiny_scenario(3),
-            FleetConfig {
-                transport: TransportConfig::BoundedStaleness { staleness: 0 },
-                ..Default::default()
-            },
-        )
-        .run();
-        assert_eq!(async0.transport.name, "async(staleness=0)");
-        assert_eq!(async0.hit_rate_curve, bsp.hit_rate_curve);
-        for (a, b) in bsp.tenants.iter().zip(&async0.tenants) {
-            assert_eq!(a.dejavu.total_cost, b.dejavu.total_cost);
-            assert_eq!(a.stats.tunings, b.stats.tunings);
-            assert_eq!(a.cross_tenant_hits, b.cross_tenant_hits);
-        }
-        assert_eq!(async0.transport.view_staleness.max(), 0);
-    }
-
-    #[test]
     fn work_stealing_zero_staleness_matches_the_barrier_at_any_thread_cap() {
         let bsp = FleetEngine::new(tiny_scenario(4), FleetConfig::default()).run();
         for threads in [1, 3, 8] {
@@ -828,7 +806,6 @@ mod tests {
                     transport: TransportConfig::WorkStealing {
                         threads,
                         staleness: 0,
-                        adaptive: false,
                     },
                     ..Default::default()
                 },
@@ -866,7 +843,6 @@ mod tests {
                 transport: TransportConfig::WorkStealing {
                     threads: 2,
                     staleness: k,
-                    adaptive: false,
                 },
                 ..Default::default()
             },
@@ -876,27 +852,6 @@ mod tests {
         assert_eq!(
             report.transport.view_staleness.total(),
             (5 * report.epochs) as u64
-        );
-        assert!(report.transport.reuse_staleness.max() <= k);
-        assert_eq!(report.hit_rate_curve.len(), report.epochs);
-        assert!(report.total_fleet_reuses() > 0);
-    }
-
-    #[test]
-    fn bounded_staleness_respects_its_bound_and_reports_telemetry() {
-        let k = 2;
-        let report = FleetEngine::new(
-            tiny_scenario(4),
-            FleetConfig {
-                transport: TransportConfig::BoundedStaleness { staleness: k },
-                ..Default::default()
-            },
-        )
-        .run();
-        assert!(report.transport.view_staleness.max() <= k);
-        assert_eq!(
-            report.transport.view_staleness.total(),
-            (4 * report.epochs) as u64
         );
         assert!(report.transport.reuse_staleness.max() <= k);
         assert_eq!(report.hit_rate_curve.len(), report.epochs);

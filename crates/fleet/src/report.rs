@@ -395,11 +395,11 @@ mod tests {
     fn only_non_bsp_reports_announce_their_transport() {
         let mut r = empty_report(SharingMode::Shared);
         assert!(!r.render().contains("transport"));
-        r.transport.name = "async(staleness=2)".into();
+        r.transport.name = "steal(threads=2,staleness=2)".into();
         r.transport.view_staleness.record(1);
         let text = r.render();
         assert!(text.contains("transport"));
-        assert!(text.contains("async(staleness=2)"));
+        assert!(text.contains("steal(threads=2,staleness=2)"));
     }
 
     #[test]

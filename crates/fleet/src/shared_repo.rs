@@ -396,9 +396,8 @@ struct AnchorSet {
 
 impl AnchorSet {
     /// Squared Euclidean distance between `a` and `b`, bailing out with
-    /// `None` once it provably exceeds `bound_sq`. Runs on the
-    /// mode-dispatched kernels of [`dejavu_ml::kernels`] (chunked by
-    /// default, exact serial order under `DEJAVU_EXACT_KERNELS`).
+    /// `None` once it provably exceeds `bound_sq`. Runs on the chunked
+    /// kernels of [`dejavu_ml::kernels`].
     fn sq_dist_within(a: &[f64], b: &[f64], bound_sq: f64) -> Option<f64> {
         dejavu_ml::kernels::squared_distance_within(a, b, bound_sq)
     }
@@ -1210,14 +1209,11 @@ pub fn normalized_distance(a: &[f64], b: &[f64]) -> f64 {
 /// accumulation as soon as the partial sum proves the outcome. Acceptance is
 /// decided on the final `sqrt(sum/n)` value itself, so the returned distance
 /// and the accept/reject outcome always agree with computing
-/// `normalized_distance(a, b)` under the same kernel mode and comparing it
-/// with `limit`.
+/// `normalized_distance(a, b)` and comparing it with `limit`.
 ///
-/// The per-dimension accumulation runs on the mode-dispatched kernels of
-/// [`dejavu_ml::kernels`]: lane-parallel chunked by default (the independent
-/// per-dimension divides are what the vector units want), or the historical
-/// exact serial order process-wide under `DEJAVU_EXACT_KERNELS` — the
-/// fallback the bit-exact golden tests run under.
+/// The per-dimension accumulation runs on the lane-parallel chunked kernels
+/// of [`dejavu_ml::kernels`] (the independent per-dimension divides are what
+/// the vector units want).
 pub fn normalized_distance_within(a: &[f64], b: &[f64], limit: f64) -> Option<f64> {
     if a.len() != b.len() || a.is_empty() {
         return None;

@@ -4,49 +4,45 @@
 //!
 //! The fleet engine used to hard-code one coordination strategy — the
 //! bulk-synchronous epoch barrier — inside its run loop. This module turns
-//! that strategy into a pluggable [`CommitTransport`]:
+//! that strategy into a pluggable [`CommitTransport`] with two backends:
 //!
 //! * [`BspBarrier`] is the classic engine, verbatim: worker threads step
 //!   disjoint tenant chunks through an epoch, the barrier drains every
 //!   outbox in tenant order, commits one batch per shard, then runs the TTL
 //!   sweep. Mid-epoch the store is frozen, so runs are **bit-deterministic**
-//!   for any worker count.
-//! * [`BoundedStaleness`] frees tenants onto their own threads: a tenant may
-//!   run up to `K` epochs ahead of the commit frontier **of its own shard**,
-//!   so fast tenants never wait at a barrier for slow ones. Each tenant's
-//!   view of the shared repository is **at most `K` epochs stale** (enforced
-//!   by blocking on the frontier, measured in [`TransportOutcome`]'s
-//!   staleness histograms). With `K = 0` a tenant may not enter an epoch
-//!   until every prior epoch its shard can observe is fully committed — no
-//!   tenant can observe or miss anything a BSP run would not — so the output
-//!   provably **bit-matches** [`BspBarrier`] (property-tested in
-//!   `tests/properties.rs` and fuzzed across scenarios in
-//!   `tests/differential.rs`). With `K > 0` the store changes underneath
-//!   running tenants, trading the bitwise reproducibility of results for
-//!   pipeline parallelism; the commit *sequence* itself stays deterministic
-//!   (per shard: epoch by epoch, tenant order within each epoch).
-//! * [`WorkStealing`] caps the thread count below one-per-tenant: a fixed
-//!   pool of workers pulls per-epoch tenant tasks from a shared deque (the
-//!   vendored mini `crossbeam-deque`), so a 1000-tenant fleet runs on a
-//!   handful of threads instead of a thousand. Consistency is identical to
-//!   [`BoundedStaleness`] — same per-shard frontiers, same staleness bound,
-//!   same committer — and because tenant stepping, commit order and sweep
-//!   times are all independent of which worker executes what, the results
-//!   are **invariant to the thread cap** (and `K = 0` bit-matches BSP).
+//!   for any worker count. It is the golden reference.
+//! * [`WorkStealing`] is the asynchronous backend: a fixed pool of workers
+//!   pulls per-epoch tenant tasks from a shared deque (the vendored mini
+//!   `crossbeam-deque`), so a 1000-tenant fleet runs on a handful of
+//!   threads. A tenant may run up to `K` epochs ahead of the commit frontier
+//!   **of its own shard**, so fast tenants never wait at a barrier for slow
+//!   ones. Each tenant's view of the shared repository is **at most `K`
+//!   epochs stale** (enforced by parking the tenant on the frontier,
+//!   measured in [`TransportOutcome`]'s staleness histograms). With `K = 0`
+//!   a tenant may not enter an epoch until every prior epoch its shard can
+//!   observe is fully committed — no tenant can observe or miss anything a
+//!   BSP run would not — so the output provably **bit-matches**
+//!   [`BspBarrier`] (property-tested in `tests/properties.rs` and fuzzed
+//!   across scenarios in `tests/differential.rs`). With `K > 0` the store
+//!   changes underneath running tenants, trading the bitwise
+//!   reproducibility of results for pipeline parallelism; the commit
+//!   *sequence* itself stays deterministic (per shard: epoch by epoch,
+//!   tenant order within each epoch). Tenant stepping, commit order and
+//!   sweep times are all independent of which worker executes what, so the
+//!   results are **invariant to the thread count**.
 //!
-//! Both asynchronous backends share one committer with **per-shard commit
-//! frontiers**: a tenant only ever reads and writes the shard its namespace
-//! routes to, so a `(shard, epoch)` batch commits — and that shard's TTL
-//! sweep runs, at that epoch's timestamp — as soon as all of the epoch's
-//! reports *touching the shard* are in, instead of waiting for the whole
-//! fleet's slowest shard. On skewed scenarios that shrinks commit latency
-//! without weakening any bound a tenant can observe.
+//! The asynchronous committer keeps **per-shard commit frontiers**: a tenant
+//! only ever reads and writes the shard its namespace routes to, so a
+//! `(shard, epoch)` batch commits — and that shard's TTL sweep runs, at that
+//! epoch's timestamp — as soon as all of the epoch's reports *touching the
+//! shard* are in, instead of waiting for the whole fleet's slowest shard. On
+//! skewed scenarios that shrinks commit latency without weakening any bound
+//! a tenant can observe.
 //!
 //! Epoch reports travel over the vendored mini mpsc channel
-//! (`crossbeam-channel`), so swapping in a real channel or a tokio runtime
-//! later is a transport-local change. New consistency models (e.g. quorum
-//! commits) are one [`CommitTransport`] impl away — the engine only prepares
-//! tenants and consumes the [`TransportOutcome`].
+//! (`crossbeam-channel`). New consistency models (e.g. quorum commits) are
+//! one [`CommitTransport`] impl away — the engine only prepares tenants and
+//! consumes the [`TransportOutcome`].
 
 use crate::durable::DurableCheckpointStore;
 use crate::engine::{RunState, SimulationEngine};
@@ -419,7 +415,7 @@ pub use dejavu_obs::ExactHistogram as StalenessHistogram;
 /// were. Carried into [`crate::FleetReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransportSummary {
-    /// Backend label (`"bsp"`, `"async(staleness=K)"`, …).
+    /// Backend label (`"bsp"`, `"steal(threads=N,staleness=K)"`).
     pub name: String,
     /// Observed view staleness, one observation per tenant-epoch actually
     /// stepped: how many epochs the commit frontier trailed the tenant when
@@ -734,30 +730,17 @@ pub enum TransportConfig {
     /// count. The default.
     #[default]
     Bsp,
-    /// Free-running tenant threads observing the shared repository at most
-    /// `staleness` epochs stale. `staleness = 0` bit-matches
-    /// [`TransportConfig::Bsp`]; larger values trade bitwise result
-    /// reproducibility for pipeline parallelism.
-    BoundedStaleness {
-        /// Maximum number of epochs a tenant's view may trail its shard's
-        /// commit frontier.
-        staleness: usize,
-    },
     /// A fixed pool of `threads` workers pulls per-epoch tenant tasks from a
-    /// shared work-stealing deque — the bounded-staleness consistency model
-    /// without one thread per tenant, so 1000+-tenant fleets run on small
-    /// hosts. Results are invariant to the thread cap; `staleness = 0`
-    /// bit-matches [`TransportConfig::Bsp`].
+    /// shared work-stealing deque; tenants observe the shared repository at
+    /// most `staleness` epochs stale. Results are invariant to the thread
+    /// count; `staleness = 0` bit-matches [`TransportConfig::Bsp`], larger
+    /// values trade bitwise result reproducibility for pipeline parallelism.
     WorkStealing {
         /// Worker threads in the pool (clamped to `1..=tenants`).
         threads: usize,
         /// Maximum number of epochs a tenant's view may trail its shard's
         /// commit frontier.
         staleness: usize,
-        /// Let the pool's governor adapt the active-worker cap between `1`
-        /// and `threads` at epoch folds. Affects wall time only: results
-        /// are invariant to the cap, so adaptive runs bit-match fixed ones.
-        adaptive: bool,
     },
 }
 
@@ -766,18 +749,9 @@ impl TransportConfig {
     pub fn backend(self) -> Box<dyn CommitTransport> {
         match self {
             TransportConfig::Bsp => Box::new(BspBarrier),
-            TransportConfig::BoundedStaleness { staleness } => {
-                Box::new(BoundedStaleness { staleness })
+            TransportConfig::WorkStealing { threads, staleness } => {
+                Box::new(WorkStealing { threads, staleness })
             }
-            TransportConfig::WorkStealing {
-                threads,
-                staleness,
-                adaptive,
-            } => Box::new(WorkStealing {
-                threads,
-                staleness,
-                adaptive,
-            }),
         }
     }
 
@@ -791,22 +765,11 @@ impl TransportConfig {
     pub fn parse(backend: &str, threads: usize, staleness: usize) -> Result<Self, String> {
         match backend {
             "bsp" => Ok(TransportConfig::Bsp),
-            "async" => Ok(TransportConfig::BoundedStaleness { staleness }),
-            "steal" => Ok(TransportConfig::WorkStealing {
-                threads,
-                staleness,
-                adaptive: false,
-            }),
-            "steal-adaptive" => Ok(TransportConfig::WorkStealing {
-                threads,
-                staleness,
-                adaptive: true,
-            }),
+            "steal" => Ok(TransportConfig::WorkStealing { threads, staleness }),
             other => Err(format!(
                 "unknown transport '{other}': valid backends are 'bsp' (lock-step epoch \
-                 barrier), 'async' (bounded staleness, one thread per tenant; --staleness K), \
-                 'steal' (work-stealing pool; --threads N --staleness K) and 'steal-adaptive' \
-                 (the same pool with the active-worker cap governed adaptively)"
+                 barrier) and 'steal' (work-stealing pool with bounded staleness; \
+                 --threads N --staleness K)"
             )),
         }
     }
@@ -821,9 +784,7 @@ impl TransportConfig {
             TransportConfig::Bsp => Err(FaultSpecError::BackendUnsupported {
                 backend: "bsp".to_string(),
             }),
-            TransportConfig::BoundedStaleness { .. } | TransportConfig::WorkStealing { .. } => {
-                Ok(())
-            }
+            TransportConfig::WorkStealing { .. } => Ok(()),
         }
     }
 }
@@ -994,22 +955,19 @@ impl CommitTransport for BspBarrier {
 /// a tenant behind a fast shard never waits for a slow shard it cannot
 /// observe.
 ///
-/// Tenant threads of [`BoundedStaleness`] block in [`wait_within`]
-/// (woken by [`advance`]); the [`WorkStealing`] scheduler must never block a
-/// pool worker on a tenant's behalf, so it parks the tenant as data through
-/// [`enter_or_park`] and re-injects whatever [`advance`] releases. The
-/// frontiers can be **poisoned** when the committer unwinds: blocked tenants
-/// and pool workers must wake up and die rather than sleep forever, so the
-/// original panic — not a deadlock — reaches the caller.
+/// The [`WorkStealing`] scheduler must never block a pool worker on a
+/// tenant's behalf, so it parks the tenant as data through [`enter_or_park`]
+/// and re-injects whatever [`advance`] releases. The frontiers can be
+/// **poisoned** when the committer unwinds: pool workers must wake up and
+/// die rather than sleep forever, so the original panic — not a deadlock —
+/// reaches the caller.
 ///
-/// [`wait_within`]: ShardFrontiers::wait_within
 /// [`advance`]: ShardFrontiers::advance
 /// [`enter_or_park`]: ShardFrontiers::enter_or_park
 struct ShardFrontiers {
     /// Maximum number of epochs a tenant may lead its shard's frontier.
     bound: usize,
     state: Mutex<FrontierState>,
-    advanced: Condvar,
 }
 
 struct FrontierState {
@@ -1029,30 +987,12 @@ impl ShardFrontiers {
                 parked: vec![Vec::new(); shards],
                 poisoned: false,
             }),
-            advanced: Condvar::new(),
         }
     }
 
-    /// Blocks until entering `epoch` would leave the caller at most the
-    /// staleness bound ahead of `shard`'s committed frontier; returns the
-    /// observed staleness (how many epochs the frontier trailed the caller
-    /// at admission). Panics if the frontiers were poisoned while waiting.
-    fn wait_within(&self, shard: usize, epoch: usize) -> usize {
-        let mut state = self.state.lock().expect("frontier poisoned");
-        loop {
-            assert!(
-                !state.poisoned,
-                "transport committer unwound; tenant aborting"
-            );
-            if epoch <= state.committed[shard] + self.bound {
-                return epoch.saturating_sub(state.committed[shard]);
-            }
-            state = self.advanced.wait(state).expect("frontier poisoned");
-        }
-    }
-
-    /// Non-blocking admission for the work-stealing scheduler: returns the
-    /// observed staleness if the tenant may enter `epoch` now, otherwise
+    /// Admission for the work-stealing scheduler: returns the observed
+    /// staleness (how many epochs the frontier trailed the tenant at
+    /// admission) if the tenant may enter `epoch` now, otherwise
     /// parks `(epoch, tenant)` — to be handed back by [`advance`] once the
     /// shard catches up — and returns `None`. The caller must have returned
     /// the tenant's task to its slot *before* calling, so a release that
@@ -1073,9 +1013,9 @@ impl ShardFrontiers {
         }
     }
 
-    /// Advances `shard`'s frontier to `committed` epochs, wakes every
-    /// blocking waiter, and returns the parked tenants the new frontier
-    /// admits (for the caller to reschedule).
+    /// Advances `shard`'s frontier to `committed` epochs and returns the
+    /// parked tenants the new frontier admits (for the caller to
+    /// reschedule).
     fn advance(&self, shard: usize, committed: usize) -> Vec<usize> {
         let mut state = self.state.lock().expect("frontier poisoned");
         state.committed[shard] = committed;
@@ -1090,20 +1030,16 @@ impl ShardFrontiers {
                 i += 1;
             }
         }
-        drop(state);
-        self.advanced.notify_all();
         released
     }
 
-    /// Marks the frontiers dead and wakes every waiter (see
-    /// [`PoisonOnDrop`]).
+    /// Marks the frontiers dead (see [`PoisonOnDrop`]).
     fn poison(&self) {
         self.state.lock().expect("frontier poisoned").poisoned = true;
-        self.advanced.notify_all();
     }
 
     fn poisoned(&self) -> bool {
-        // A waiter that panics while holding the guard poisons the std mutex
+        // A worker that panics while holding the guard poisons the std mutex
         // itself; either way, the frontiers are dead.
         match self.state.lock() {
             Ok(state) => state.poisoned,
@@ -1142,92 +1078,14 @@ impl Doorbell {
     }
 }
 
-/// What one adaptive-cap decision did, so the drive can count it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CapChange {
-    Grew,
-    Shrank,
-}
-
-/// The adaptive thread-cap governor of [`WorkStealing`] pools.
-///
-/// Workers beyond [`cap`](Self::cap) gate themselves at the top of their
-/// scheduling loop (worker 0 never gates, so the pool always makes
-/// progress). Between decisions the active workers feed the governor two
-/// hunger signals — tenant **parks** (work arriving faster than the
-/// committer's frontiers advance: more workers only deepen the parked
-/// backlog) and empty-handed idle **wakes** (workers outnumber runnable
-/// tenants) — and the committer calls
-/// [`on_epoch_fold`](Self::on_epoch_fold) exactly once per fleet-wide epoch
-/// fold, the async transports' analogue of the barrier. Deciding only at
-/// folds keeps adaptation off the hot path; and because the pool's results
-/// are invariant to the thread cap (see [`WorkStealing`]), a cap that moves
-/// between folds changes wall time only, never a byte of the outcome —
-/// `tests/differential.rs` pins adaptive runs bit-to-bit against fixed ones.
-struct PoolGovernor {
-    /// Workers currently allowed to schedule (`1..=max`).
-    cap: AtomicUsize,
-    /// The configured pool size the cap can grow back to.
-    max: usize,
-    /// Tenant parks observed since the last decision.
-    parks: AtomicU64,
-    /// Empty-handed idle wakes observed since the last decision.
-    idle_wakes: AtomicU64,
-}
-
-impl PoolGovernor {
-    fn new(threads: usize) -> Self {
-        PoolGovernor {
-            cap: AtomicUsize::new(threads),
-            max: threads,
-            parks: AtomicU64::new(0),
-            idle_wakes: AtomicU64::new(0),
-        }
-    }
-
-    fn cap(&self) -> usize {
-        self.cap.load(Ordering::Acquire)
-    }
-
-    fn note_park(&self) {
-        self.parks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_idle_wake(&self) {
-        self.idle_wakes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One cap decision at a fleet-wide epoch fold. `stepped` is how many
-    /// tenant reports the folded epoch carried — the work the window's park
-    /// count is judged against. Shrinks by one worker when parks outnumber
-    /// the epoch's reports (the pool is racing ahead of the committer);
-    /// grows by one when a whole window passed with no worker going hungry.
-    /// Moving one worker per fold keeps the cap within the pool's real
-    /// hunger band instead of oscillating across it.
-    fn on_epoch_fold(&self, stepped: usize) -> Option<CapChange> {
-        let parks = self.parks.swap(0, Ordering::Relaxed);
-        let idle_wakes = self.idle_wakes.swap(0, Ordering::Relaxed);
-        let cap = self.cap.load(Ordering::Acquire);
-        if parks > stepped.max(1) as u64 && cap > 1 {
-            self.cap.store(cap - 1, Ordering::Release);
-            return Some(CapChange::Shrank);
-        }
-        if idle_wakes == 0 && cap < self.max {
-            self.cap.store(cap + 1, Ordering::Release);
-            return Some(CapChange::Grew);
-        }
-        None
-    }
-}
-
 /// Poisons the frontiers if dropped while armed — the committer holds one so
-/// that its own unwind (a lost report, a panic surfaced by a tenant)
-/// releases every tenant blocked in [`ShardFrontiers::wait_within`] and
-/// every idle pool worker (via the doorbell) before `thread::scope` starts
-/// joining; without it, a committer panic would deadlock the scope.
+/// that its own unwind (a lost report, a panic surfaced by a tenant) wakes
+/// every idle pool worker (via the doorbell) into a dead pool before
+/// `thread::scope` starts joining; without it, a committer panic would
+/// deadlock the scope.
 struct PoisonOnDrop<'a> {
     frontiers: &'a ShardFrontiers,
-    doorbell: Option<&'a Doorbell>,
+    doorbell: &'a Doorbell,
     armed: bool,
 }
 
@@ -1235,9 +1093,7 @@ impl Drop for PoisonOnDrop<'_> {
     fn drop(&mut self) {
         if self.armed {
             self.frontiers.poison();
-            if let Some(doorbell) = self.doorbell {
-                doorbell.ring();
-            }
+            self.doorbell.ring();
         }
     }
 }
@@ -1257,45 +1113,24 @@ struct EpochReport {
     misses: u64,
     /// This is the tenant's final report (retirement or window end).
     last: bool,
-    /// The tenant thread unwound mid-epoch (sent from its drop guard): the
-    /// committer must poison the frontier and re-panic instead of waiting
+    /// The tenant panicked mid-epoch: the committer retires it and stops
+    /// expecting its reports from this epoch onwards, instead of waiting
     /// forever for reports that will never come.
     aborted: bool,
 }
 
-/// Sends an `aborted` report if a tenant thread unwinds before completing its
-/// window, so the committer learns about the death instead of deadlocking on
-/// the missing epoch reports; `disarm` marks a clean exit.
-struct AbortOnDrop<'a> {
-    tx: &'a crossbeam_channel::Sender<EpochReport>,
-    tenant: usize,
-    /// The epoch the tenant was in when it unwound — the committer stops
-    /// expecting reports from this epoch onwards.
-    epoch: usize,
-    armed: bool,
-}
-
-impl AbortOnDrop<'_> {
-    fn disarm(&mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for AbortOnDrop<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            // A failed send means the committer is already gone; nothing to
-            // notify.
-            let _ = self.tx.send(EpochReport {
-                tenant: self.tenant,
-                epoch: self.epoch,
-                staleness: 0,
-                ops: Vec::new(),
-                hits: 0,
-                misses: 0,
-                last: true,
-                aborted: true,
-            });
+impl EpochReport {
+    /// The death notice of a tenant that panicked while stepping `epoch`.
+    fn abort(tenant: usize, epoch: usize) -> Self {
+        EpochReport {
+            tenant,
+            epoch,
+            staleness: 0,
+            ops: Vec::new(),
+            hits: 0,
+            misses: 0,
+            last: true,
+            aborted: true,
         }
     }
 }
@@ -1477,7 +1312,7 @@ impl Inbox<'_> {
     }
 }
 
-/// The shared committer of the asynchronous transports, with **per-shard
+/// The committer of the asynchronous transport, with **per-shard
 /// commit frontiers**: epoch reports arrive over the channel, and a
 /// `(shard, epoch)` batch commits — in tenant order, followed by the
 /// frontier-aware TTL sweep of exactly that shard at that epoch's timestamp
@@ -1493,9 +1328,7 @@ impl Inbox<'_> {
 /// results are invariant to thread scheduling and to the worker cap.
 ///
 /// `on_release` receives the tenants a frontier advance un-parked; the
-/// work-stealing scheduler re-injects them, the bounded-staleness transport
-/// (whose tenants block in [`ShardFrontiers::wait_within`] instead of
-/// parking) passes a no-op.
+/// work-stealing scheduler re-injects them.
 ///
 /// Under a fault domain the committer additionally (a) captures one delta
 /// checkpoint per `(shard, epoch)` commit into the [`CheckpointStore`],
@@ -1630,7 +1463,6 @@ impl<'a, 'h> Committer<'a, 'h> {
         mut inbox: Inbox<'_>,
         out: &mut TransportOutcome,
         on_release: &mut dyn FnMut(Vec<usize>),
-        on_fold: &mut dyn FnMut(usize),
     ) {
         let recorder = self.ctx.recorder();
         // Fold-to-fold wall time per fleet-wide epoch (the async analogue of
@@ -1644,7 +1476,6 @@ impl<'a, 'h> Committer<'a, 'h> {
                 && self.shard_next.iter().all(|&next| next > self.completed)
             {
                 let folded = self.completed;
-                let stepped = self.epoch_stats[folded].len();
                 for (tenant, hits, misses) in std::mem::take(&mut self.epoch_stats[folded]) {
                     self.cached[tenant] = (hits, misses);
                 }
@@ -1656,10 +1487,6 @@ impl<'a, 'h> Committer<'a, 'h> {
                 recorder.event(|| Event::EpochCommit {
                     epoch: folded as u64,
                 });
-                // The epoch-fold hook — where the work-stealing drive lets
-                // its cap governor decide. Called after the fold's bookwork
-                // so a decision never delays the commit itself.
-                on_fold(stepped);
                 self.completed += 1;
                 if let Some(domain) = self.domain {
                     if domain.injector.committer_restart(folded) {
@@ -2028,155 +1855,6 @@ fn crash_and_recover(
     replayed
 }
 
-/// The asynchronous bounded-staleness transport.
-///
-/// Every tenant runs on its own thread, free to advance up to
-/// [`staleness`](Self::staleness) epochs beyond **its shard's** commit
-/// frontier; the committer ([`run_committer`]) assembles each shard's epoch
-/// reports (arriving over the vendored mini mpsc channel), applies them in
-/// tenant order, runs that shard's TTL sweep and advances its frontier.
-/// Views are therefore never more than `staleness` epochs stale, and with
-/// `staleness = 0` the schedule collapses to the BSP barrier per shard: no
-/// tenant may enter an epoch before every prior epoch of the only shard it
-/// can observe committed, so the store is frozen while anyone reads it and
-/// the run bit-matches [`BspBarrier`].
-#[derive(Debug, Clone, Copy)]
-pub struct BoundedStaleness {
-    /// Maximum number of epochs a tenant's view may trail its own position.
-    pub staleness: usize,
-}
-
-impl CommitTransport for BoundedStaleness {
-    fn name(&self) -> String {
-        format!("async(staleness={})", self.staleness)
-    }
-
-    fn drive(&self, harness: &mut FleetHarness<'_>) -> TransportOutcome {
-        let (ctx, handles) = harness.split();
-        let tenant_count = handles.len();
-        let mut out = TransportOutcome::new(self.name(), tenant_count);
-        if ctx.epochs() == 0 || tenant_count == 0 {
-            return out;
-        }
-        let windows: Vec<(usize, usize)> = handles
-            .iter()
-            .map(|h| (h.start_epoch(), h.end_epoch()))
-            .collect();
-        let tenant_shard: Vec<usize> = handles
-            .iter()
-            .map(|h| ctx.shard_of(h.namespace()))
-            .collect();
-        let frontiers = ShardFrontiers::new(ctx.shard_count(), self.staleness);
-        let domain = fault_domain(&ctx, &windows, &tenant_shard);
-        let domain_ref = domain.as_ref();
-        let (tx, rx) = crossbeam_channel::unbounded::<EpochReport>();
-        std::thread::scope(|scope| {
-            for mut handle in handles {
-                let tx = tx.clone();
-                let frontiers = &frontiers;
-                let ctx = &ctx;
-                let shard = tenant_shard[handle.index()];
-                scope.spawn(move || {
-                    // If this thread unwinds (a poisoned frontier during
-                    // shutdown), the guard tells the committer, which
-                    // releases the tenant's future slots — the failure is
-                    // contained instead of deadlocking the whole fleet.
-                    let (start, end) = (handle.start_epoch(), handle.end_epoch());
-                    let mut guard = AbortOnDrop {
-                        tx: &tx,
-                        tenant: handle.index(),
-                        epoch: start,
-                        armed: true,
-                    };
-                    let crash_epoch =
-                        domain_ref.and_then(|d| d.injector.crash_epoch(handle.index(), start, end));
-                    let mut crashed = false;
-                    for epoch in start..end {
-                        guard.epoch = epoch;
-                        let staleness = frontiers.wait_within(shard, epoch);
-                        // The whole epoch body runs under `catch_unwind`: a
-                        // panicking service model (or a poisoned outbox)
-                        // kills this tenant, not the fleet — the drop guard
-                        // reports the abort and the committer retires it.
-                        let stepped = catch_unwind(AssertUnwindSafe(|| {
-                            if !crashed && crash_epoch == Some(epoch) {
-                                crashed = true;
-                                // The doomed attempt: mid-epoch work that
-                                // dies with the crash, publishes and all.
-                                handle.step_epoch(epoch, ctx);
-                                let _ = handle.drain_outbox();
-                                crash_and_recover(
-                                    ctx,
-                                    domain_ref.expect("crash faults imply a fault domain"),
-                                    &mut handle,
-                                    epoch,
-                                );
-                            }
-                            handle.step_epoch(epoch, ctx);
-                            handle.observe_reuse(epoch);
-                            handle.drain_outbox()
-                        }));
-                        let Ok(ops) = stepped else {
-                            return; // the drop guard reports the abort
-                        };
-                        let retiring = handle.retires_at(epoch);
-                        if retiring {
-                            handle.retire();
-                        }
-                        let (hits, misses) = handle.repo_stats();
-                        let last = retiring || epoch + 1 == end;
-                        let report = EpochReport {
-                            tenant: handle.index(),
-                            epoch,
-                            staleness,
-                            ops,
-                            hits,
-                            misses,
-                            last,
-                            aborted: false,
-                        };
-                        if tx.send(report).is_err() || last {
-                            break;
-                        }
-                        guard.epoch = epoch + 1;
-                    }
-                    guard.disarm();
-                });
-            }
-            drop(tx);
-
-            // If the committer unwinds for any reason, the guard poisons the
-            // frontiers first, so blocked tenant threads die (and the scope
-            // joins) instead of sleeping forever under a panic.
-            let mut poison_guard = PoisonOnDrop {
-                frontiers: &frontiers,
-                doorbell: None,
-                armed: true,
-            };
-            let inbox = match domain_ref {
-                Some(domain) if domain.injector.enabled() => Inbox::Faulty(FaultyInbox::new(
-                    &rx,
-                    domain.injector,
-                    &domain.tallies,
-                    ctx.recorder(),
-                )),
-                _ => Inbox::Plain(&rx),
-            };
-            Committer::new(&ctx, &windows, &tenant_shard, &frontiers, domain_ref).run(
-                inbox,
-                &mut out,
-                &mut |_released| {},
-                &mut |_stepped| {},
-            );
-            poison_guard.armed = false;
-        });
-        if let Some(domain) = domain {
-            out.faults = Some(summarize_faults(domain));
-        }
-        out
-    }
-}
-
 /// One tenant's schedulable state under [`WorkStealing`]: its handle plus
 /// the next epoch it will step. Lives in the tenant's slot whenever the
 /// tenant is queued (injector or a worker deque) or parked on a frontier; a
@@ -2204,8 +1882,6 @@ struct StealPool<'a, 'h> {
     remaining: &'a AtomicUsize,
     /// The drive's fault/recovery domain, when configured.
     domain: Option<&'a FaultDomain<'h>>,
-    /// The adaptive thread-cap governor, when the pool runs adaptive.
-    governor: Option<&'a PoolGovernor>,
 }
 
 impl<'h> StealPool<'_, 'h> {
@@ -2229,34 +1905,6 @@ impl<'h> StealPool<'_, 'h> {
                 !self.frontiers.poisoned(),
                 "transport committer unwound; worker aborting"
             );
-            // Adaptive cap gate: a worker above the cap contributes nothing
-            // until the governor grows it back. Worker 0 never gates, so the
-            // pool always makes progress; anything left in a gated worker's
-            // deque stays stealable from its cold end. Gated sleeps are not
-            // hunger signals, so they bypass the idle-wake tally.
-            if let Some(governor) = self.governor {
-                if worker > 0 && worker >= governor.cap() {
-                    if self.remaining.load(Ordering::Acquire) == 0 {
-                        return;
-                    }
-                    // Hand queued continuations back to the injector before
-                    // sleeping: a peer that scanned before this worker's last
-                    // push would never learn about work stranded in a gated
-                    // deque, and with the committer also drained that is a
-                    // fleet-wide lost wakeup.
-                    let mut flushed = false;
-                    while let Some(task) = local.pop() {
-                        self.injector.push(task);
-                        flushed = true;
-                    }
-                    if flushed {
-                        self.doorbell.ring();
-                        continue;
-                    }
-                    self.doorbell.wait_beyond(heard);
-                    continue;
-                }
-            }
             // A task that did not come off the local deque was stolen — from
             // the shared injector or a peer's cold end.
             let mut stolen = false;
@@ -2280,9 +1928,6 @@ impl<'h> StealPool<'_, 'h> {
                 None => {
                     if self.remaining.load(Ordering::Acquire) == 0 {
                         return;
-                    }
-                    if let Some(governor) = self.governor {
-                        governor.note_idle_wake();
                     }
                     self.doorbell.wait_beyond(heard);
                     recorder.with(|m| m.wakes.inc());
@@ -2316,9 +1961,6 @@ impl<'h> StealPool<'_, 'h> {
         *self.slots[tenant].lock().expect("tenant slot poisoned") = Some(task);
         let Some(staleness) = self.frontiers.enter_or_park(shard, epoch, tenant) else {
             // Parked; the committer re-injects it on advance.
-            if let Some(governor) = self.governor {
-                governor.note_park();
-            }
             let recorder = self.ctx.recorder();
             recorder.with(|m| m.parks.inc());
             recorder.event(|| Event::WorkerPark {
@@ -2334,15 +1976,9 @@ impl<'h> StealPool<'_, 'h> {
             .expect("admitted tenant missing from its slot");
         // A panicking tenant (service model or poisoned outbox) must kill
         // only itself, never the pool: the epoch body runs under
-        // `catch_unwind`, the guard reports the abort to the committer
-        // (which retires the tenant and releases its slots), and this
-        // worker — not the dead tenant — keeps the drain accounting right.
-        let mut guard = AbortOnDrop {
-            tx,
-            tenant,
-            epoch,
-            armed: true,
-        };
+        // `catch_unwind`, the worker reports the abort to the committer
+        // (which retires the tenant and releases its slots) and keeps the
+        // drain accounting right.
         let stepped = catch_unwind(AssertUnwindSafe(|| {
             if !task.crashed {
                 if let Some(domain) = self.domain {
@@ -2362,9 +1998,10 @@ impl<'h> StealPool<'_, 'h> {
             task.handle.drain_outbox()
         }));
         let Ok(ops) = stepped else {
-            // Send the abort notice now, then retire this tenant from the
-            // pool's drain accounting so idle workers can still exit.
-            drop(guard);
+            // Send the abort notice, then retire this tenant from the pool's
+            // drain accounting so idle workers can still exit. A failed send
+            // means the committer is already gone; nothing to notify.
+            let _ = tx.send(EpochReport::abort(tenant, epoch));
             if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
                 self.doorbell.ring();
             }
@@ -2388,7 +2025,6 @@ impl<'h> StealPool<'_, 'h> {
                 aborted: false,
             })
             .is_ok();
-        guard.disarm();
         if last || !sent {
             // The tenant is done (or the committer is gone — the poisoned
             // frontiers panic this worker on its next loop). The final
@@ -2408,24 +2044,28 @@ impl<'h> StealPool<'_, 'h> {
     }
 }
 
-/// The work-stealing transport: bounded-staleness consistency on a **fixed
-/// worker pool** instead of one thread per tenant.
+/// The asynchronous bounded-staleness transport on a **fixed worker pool**.
 ///
 /// [`threads`](Self::threads) workers pull per-epoch tenant tasks from a
 /// shared deque (the vendored mini `crossbeam-deque`: a global injector plus
 /// per-worker deques with stealers), so a 1000-tenant fleet runs on a
-/// handful of threads — the regime where one-thread-per-tenant loses to the
-/// barrier on small hosts. A tenant whose shard frontier is too far behind
-/// is **parked as data** (never blocking a pool worker) and re-injected by
-/// the committer when its shard catches up.
+/// handful of threads. Every tenant may advance up to
+/// [`staleness`](Self::staleness) epochs beyond **its shard's** commit
+/// frontier; a tenant whose frontier is too far behind is **parked as
+/// data** (never blocking a pool worker) and re-injected by the
+/// committer when its shard catches up. The committer assembles each
+/// shard's epoch reports (arriving over the vendored mini mpsc channel),
+/// applies them in tenant order, runs that shard's TTL sweep and advances
+/// its frontier. Views are therefore never more than `staleness` epochs
+/// stale, and with `staleness = 0` the schedule collapses to the BSP barrier
+/// per shard: no tenant may enter an epoch before every prior epoch of the
+/// only shard it can observe committed, so the store is frozen while anyone
+/// reads it and the run bit-matches [`BspBarrier`].
 ///
-/// Consistency is exactly [`BoundedStaleness`]'s: same per-shard frontiers,
-/// same staleness bound, same committer ([`run_committer`]). Tenant stepping
-/// is sequential per tenant, commits are per shard in tenant order, and
-/// sweep times are fixed by the epoch grid — none of it depends on which
-/// worker executes what — so the results are **invariant to the thread
-/// cap**, and `staleness = 0` bit-matches [`BspBarrier`] (fuzzed across
-/// scenarios in `tests/differential.rs`).
+/// Tenant stepping is sequential per tenant, commits are per shard in tenant
+/// order, and sweep times are fixed by the epoch grid — none of it depends
+/// on which worker executes what — so the results are **invariant to the
+/// thread count** (fuzzed across scenarios in `tests/differential.rs`).
 #[derive(Debug, Clone, Copy)]
 pub struct WorkStealing {
     /// Worker threads in the pool (clamped to `1..=tenants`).
@@ -2433,21 +2073,13 @@ pub struct WorkStealing {
     /// Maximum number of epochs a tenant's view may trail its shard's commit
     /// frontier.
     pub staleness: usize,
-    /// Adaptively cap the active workers between `1` and `threads`: a
-    /// [`PoolGovernor`] shrinks the cap when tenants park faster than the
-    /// committer folds epochs and grows it back when no worker goes hungry,
-    /// deciding only at epoch folds. Cap-invariance makes this a pure
-    /// wall-time knob — the results stay bit-identical to the fixed pool.
-    pub adaptive: bool,
 }
 
 impl CommitTransport for WorkStealing {
     fn name(&self) -> String {
         format!(
-            "steal{}(threads={},staleness={})",
-            if self.adaptive { "-adaptive" } else { "" },
-            self.threads,
-            self.staleness
+            "steal(threads={},staleness={})",
+            self.threads, self.staleness
         )
     }
 
@@ -2472,8 +2104,6 @@ impl CommitTransport for WorkStealing {
         let domain_ref = domain.as_ref();
         let injector = Injector::new();
         let doorbell = Doorbell::default();
-        let governor = self.adaptive.then(|| PoolGovernor::new(threads));
-        let governor_ref = governor.as_ref();
         let mut active = 0usize;
         let slots: Vec<Mutex<Option<TenantTask<'_>>>> = handles
             .into_iter()
@@ -2512,7 +2142,6 @@ impl CommitTransport for WorkStealing {
                     tenant_shard: &tenant_shard,
                     remaining: &remaining,
                     domain: domain_ref,
-                    governor: governor_ref,
                 };
                 scope.spawn(move || pool.run_worker(worker, &local, &tx));
             }
@@ -2523,7 +2152,7 @@ impl CommitTransport for WorkStealing {
             // instead of deadlocking the scope.
             let mut poison_guard = PoisonOnDrop {
                 frontiers: &frontiers,
-                doorbell: Some(&doorbell),
+                doorbell: &doorbell,
                 armed: true,
             };
             let inbox = match domain_ref {
@@ -2549,21 +2178,6 @@ impl CommitTransport for WorkStealing {
                         injector.push(tenant);
                     }
                     doorbell.ring();
-                },
-                &mut |stepped| {
-                    let Some(governor) = governor_ref else { return };
-                    match governor.on_epoch_fold(stepped) {
-                        Some(CapChange::Grew) => {
-                            ctx.recorder().with(|m| m.pool_grows.inc());
-                            // Gated workers sleep on the doorbell; the ring
-                            // lets them re-read the grown cap.
-                            doorbell.ring();
-                        }
-                        Some(CapChange::Shrank) => {
-                            ctx.recorder().with(|m| m.pool_shrinks.inc());
-                        }
-                        None => {}
-                    }
                 },
             );
             poison_guard.armed = false;
@@ -2599,30 +2213,13 @@ mod tests {
         assert_eq!(TransportConfig::default(), TransportConfig::Bsp);
         assert_eq!(TransportConfig::Bsp.backend().name(), "bsp");
         assert_eq!(
-            TransportConfig::BoundedStaleness { staleness: 3 }
-                .backend()
-                .name(),
-            "async(staleness=3)"
-        );
-        assert_eq!(
             TransportConfig::WorkStealing {
                 threads: 4,
-                staleness: 1,
-                adaptive: false
+                staleness: 1
             }
             .backend()
             .name(),
             "steal(threads=4,staleness=1)"
-        );
-        assert_eq!(
-            TransportConfig::WorkStealing {
-                threads: 4,
-                staleness: 1,
-                adaptive: true
-            }
-            .backend()
-            .name(),
-            "steal-adaptive(threads=4,staleness=1)"
         );
     }
 
@@ -2633,34 +2230,23 @@ mod tests {
             Ok(TransportConfig::Bsp)
         );
         assert_eq!(
-            TransportConfig::parse("async", 4, 2),
-            Ok(TransportConfig::BoundedStaleness { staleness: 2 })
-        );
-        assert_eq!(
             TransportConfig::parse("steal", 4, 2),
             Ok(TransportConfig::WorkStealing {
                 threads: 4,
-                staleness: 2,
-                adaptive: false
+                staleness: 2
             })
         );
-        assert_eq!(
-            TransportConfig::parse("steal-adaptive", 4, 2),
-            Ok(TransportConfig::WorkStealing {
-                threads: 4,
-                staleness: 2,
-                adaptive: true
-            })
-        );
-        let err = TransportConfig::parse("quorum", 4, 2).expect_err("unknown backend");
-        assert!(err.contains("'quorum'"), "{err}");
-        for valid in ["'bsp'", "'async'", "'steal'", "'steal-adaptive'"] {
-            assert!(err.contains(valid), "{err} should list {valid}");
+        for retired in ["quorum", "async"] {
+            let err = TransportConfig::parse(retired, 4, 2).expect_err("unknown backend");
+            assert!(err.contains(&format!("'{retired}'")), "{err}");
+            for valid in ["'bsp'", "'steal'"] {
+                assert!(err.contains(valid), "{err} should list {valid}");
+            }
         }
     }
 
     #[test]
-    fn fault_injection_is_rejected_on_bsp_and_accepted_on_async_backends() {
+    fn fault_injection_is_rejected_on_bsp_and_accepted_on_the_pool() {
         let spec = FaultSpec::parse("7:crash,drop").expect("valid spec");
         assert_eq!(
             TransportConfig::Bsp.check_faults(&spec),
@@ -2669,14 +2255,9 @@ mod tests {
             })
         );
         assert_eq!(
-            TransportConfig::BoundedStaleness { staleness: 0 }.check_faults(&spec),
-            Ok(())
-        );
-        assert_eq!(
             TransportConfig::WorkStealing {
                 threads: 2,
-                staleness: 1,
-                adaptive: true
+                staleness: 1
             }
             .check_faults(&spec),
             Ok(())
@@ -2684,35 +2265,31 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_frontiers_wake_and_kill_waiters() {
+    fn poisoned_frontiers_kill_workers_asking_for_admission() {
         let frontiers = ShardFrontiers::new(2, 0);
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| frontiers.wait_within(0, 5));
-            frontiers.poison();
-            assert!(
-                waiter.join().is_err(),
-                "poisoned frontiers must panic their waiters, not strand them"
-            );
-        });
+        frontiers.poison();
         assert!(frontiers.poisoned());
+        let admitted = catch_unwind(AssertUnwindSafe(|| frontiers.enter_or_park(0, 0, 3)));
+        assert!(
+            admitted.is_err(),
+            "poisoned frontiers must panic their workers, not admit or park tenants"
+        );
     }
 
     #[test]
     fn shard_frontiers_gate_per_shard() {
         let frontiers = ShardFrontiers::new(2, 1);
-        assert_eq!(frontiers.wait_within(0, 0), 0);
-        frontiers.advance(0, 2);
-        assert_eq!(frontiers.wait_within(0, 3), 1);
+        assert_eq!(frontiers.enter_or_park(0, 0, 0), Some(0));
+        assert!(frontiers.advance(0, 2).is_empty());
+        assert_eq!(frontiers.enter_or_park(0, 3, 0), Some(1));
         // Shard 1's frontier is untouched by shard 0's advance.
-        assert_eq!(frontiers.wait_within(1, 1), 1);
-        std::thread::scope(|scope| {
-            let blocked = scope.spawn(|| frontiers.wait_within(1, 3));
-            // Advancing the *other* shard must not release it; advancing its
-            // own does.
-            frontiers.advance(0, 9);
-            frontiers.advance(1, 2);
-            assert_eq!(blocked.join().expect("waiter"), 1);
-        });
+        assert_eq!(frontiers.enter_or_park(1, 1, 1), Some(1));
+        assert_eq!(frontiers.enter_or_park(1, 3, 1), None);
+        // Advancing the *other* shard must not release it; advancing its own
+        // does.
+        assert!(frontiers.advance(0, 9).is_empty());
+        assert_eq!(frontiers.advance(1, 2), vec![1]);
+        assert_eq!(frontiers.enter_or_park(1, 3, 1), Some(1));
     }
 
     #[test]

@@ -11,26 +11,24 @@
 //! k-means hot paths spend their time at fleet scale.
 //!
 //! Chunking changes floating-point summation order, so results differ from
-//! the exact serial kernels in the last ulps. Every kernel therefore ships in
-//! two forms:
+//! the exact serial kernels in the last ulps. Every kernel ships in two
+//! forms:
 //!
-//! * `*_chunked` — the lane-parallel form (fast path),
-//! * `*_exact` — bit-identical to the historical serial loops,
+//! * `*_chunked` — the lane-parallel form, which the unsuffixed names
+//!   (`squared_distance`, `squared_distance_within`, `normalized_sq_sum`)
+//!   the program calls run;
+//! * `*_exact` — bit-identical to the historical serial loops, kept as the
+//!   reference the property tests and benchmarks compare against.
 //!
-//! plus a mode-dispatching wrapper that picks one per process. Setting the
-//! `DEJAVU_EXACT_KERNELS` environment variable (to anything but `0` or the
-//! empty string) before first use forces the exact-order kernels everywhere —
-//! the one-flag fallback the bit-exact golden tests run under. The mode is
-//! read once and cached, so the dispatch on the hot path is a single branch
-//! on a cached boolean, and a process can never observe a mid-run switch.
+//! Below one [`BLOCK`] (the ≤ 8-metric signatures of the default
+//! configuration) the chunked kernels only run their serial tail, so both
+//! forms return the same bits there.
 //!
 //! The chunked and exact forms agree within 1e-9 relative error (pinned by a
 //! property test across random dims and lengths, including remainder edge
 //! cases), and bounded kernels only ever disagree on `Some`-vs-`None` when
 //! the true sum sits within rounding distance of the bound — callers treat
 //! the bound as a tolerance, never as a semantic cliff.
-
-use std::sync::OnceLock;
 
 /// Accumulator-array width: 4 × f64 fills a 256-bit vector register (AVX2),
 /// and narrower SIMD ISAs split it into two 128-bit halves for free.
@@ -40,20 +38,6 @@ pub const LANES: usize = 4;
 /// [`LANES`]-wide chunks, so the horizontal reduction (which serializes) is
 /// paid once per 16 dimensions instead of once per element.
 pub const BLOCK: usize = 4 * LANES;
-
-/// True when this process runs the exact-order kernels everywhere.
-///
-/// Resolved once from the `DEJAVU_EXACT_KERNELS` environment variable on
-/// first use and cached for the process lifetime.
-#[inline]
-pub fn exact_kernels() -> bool {
-    static MODE: OnceLock<bool> = OnceLock::new();
-    *MODE.get_or_init(|| {
-        std::env::var("DEJAVU_EXACT_KERNELS")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
-    })
-}
 
 /// Horizontal sum of the accumulator array, pairwise so the reduction tree
 /// is fixed regardless of how the lanes were filled.
@@ -79,14 +63,10 @@ pub fn squared_distance_exact(a: &[f64], b: &[f64]) -> f64 {
     crate::dataset::squared_distance(a, b)
 }
 
-/// Mode-dispatching squared Euclidean distance.
+/// Squared Euclidean distance: the chunked kernel.
 #[inline]
 pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
-    if exact_kernels() {
-        squared_distance_exact(a, b)
-    } else {
-        squared_distance_chunked(a, b)
-    }
+    squared_distance_chunked(a, b)
 }
 
 /// Early-exit squared distance, lane-parallel: accumulates [`BLOCK`]-element
@@ -135,14 +115,10 @@ pub fn squared_distance_within_exact(a: &[f64], b: &[f64], bound: f64) -> Option
     crate::dataset::squared_distance_within(a, b, bound)
 }
 
-/// Mode-dispatching early-exit squared distance.
+/// Early-exit squared distance: the chunked kernel.
 #[inline]
 pub fn squared_distance_within(a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
-    if exact_kernels() {
-        squared_distance_within_exact(a, b, bound)
-    } else {
-        squared_distance_within_chunked(a, b, bound)
-    }
+    squared_distance_within_chunked(a, b, bound)
 }
 
 /// Early-exit *normalized* squared-difference sum, lane-parallel: accumulates
@@ -212,14 +188,10 @@ pub fn normalized_sq_sum_exact(a: &[f64], b: &[f64], floor: f64, bound: f64) -> 
     Some(sum)
 }
 
-/// Mode-dispatching early-exit normalized squared-difference sum.
+/// Early-exit normalized squared-difference sum: the chunked kernel.
 #[inline]
 pub fn normalized_sq_sum(a: &[f64], b: &[f64], floor: f64, bound: f64) -> Option<f64> {
-    if exact_kernels() {
-        normalized_sq_sum_exact(a, b, floor, bound)
-    } else {
-        normalized_sq_sum_chunked(a, b, floor, bound)
-    }
+    normalized_sq_sum_chunked(a, b, floor, bound)
 }
 
 #[cfg(test)]

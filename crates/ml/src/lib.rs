@@ -17,8 +17,8 @@
 //! * [`eval`] — train/test splitting, k-fold cross-validation, accuracy and
 //!   confusion matrices.
 //! * [`kernels`] — chunked, autovectorizable distance-accumulation kernels
-//!   shared by k-means and the fleet's signature-resolution hot path, with a
-//!   process-wide exact-order fallback (`DEJAVU_EXACT_KERNELS`).
+//!   shared by k-means and the fleet's signature-resolution hot path, plus
+//!   the exact serial-order reference forms.
 //!
 //! # Example
 //!

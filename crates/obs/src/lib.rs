@@ -363,17 +363,13 @@ pub struct Metrics {
     pub steals: Counter,
     /// Doorbell wakes: an idle worker woken by committer progress.
     pub wakes: Counter,
-    /// Adaptive-cap pool growths (one worker un-gated at an epoch fold).
-    pub pool_grows: Counter,
-    /// Adaptive-cap pool shrinks (one worker gated at an epoch fold).
-    pub pool_shrinks: Counter,
     /// Bytes served from capacity-retaining scratch (arena slabs, commit
     /// batch buffers) instead of fresh heap allocations.
     pub scratch_bytes_saved: Counter,
 
     // --- fleet engine ---
     /// Per-epoch wall time (ns): barrier-to-barrier under BSP, fold-to-fold
-    /// at the committer for the async transports.
+    /// at the committer for the work-stealing transport.
     pub epoch_ns: LogHistogram,
     /// Wall time of the final parallel tenant finalization (ns).
     pub finalize_ns: Gauge,

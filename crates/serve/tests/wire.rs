@@ -89,7 +89,6 @@ fn wire_runs_bit_match_in_process_runs() {
             TransportConfig::WorkStealing {
                 threads: 2,
                 staleness: 0,
-                adaptive: false,
             }
         };
         let engine = FleetEngine::new(

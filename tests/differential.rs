@@ -1,9 +1,8 @@
 //! Cross-transport differential scenario fuzzer.
 //!
-//! The fleet now has three commit transports — the lock-step BSP barrier,
-//! the bounded-staleness one-thread-per-tenant backend, and the
-//! work-stealing pool — that all promise the same thing: at `staleness = 0`
-//! a run is **bit-identical** to the barrier, for any thread cap, on any
+//! The fleet has two commit transports — the lock-step BSP barrier and the
+//! work-stealing pool — and the pool promises that at `staleness = 0` a run
+//! is **bit-identical** to the barrier, for any thread count, on any
 //! scenario. The only way to trust that promise is the Anvil discipline:
 //! generate scenarios covering the whole configuration space (tenant counts,
 //! family mixes, churn windows, TTLs, shard counts, snapshot warm-starts),
@@ -16,18 +15,14 @@
 //!
 //! Invariants pinned, per fuzzed scenario:
 //!
-//! * **K = 0 bit-match.** BSP, `BoundedStaleness(0)` and `WorkStealing` at
-//!   thread caps 1/2/4 produce byte-identical reports — every per-tenant
+//! * **K = 0 bit-match.** BSP and `WorkStealing` at thread counts 1/2/4
+//!   produce byte-identical reports — every per-tenant
 //!   result, the hit-rate curve, and the shared repository's entry/anchor
 //!   counts and statistics (hits, misses, insertions, **evictions** — the
 //!   eviction equality is what pins the frontier-aware per-shard TTL sweep).
 //! * **Thread-cap invariance.** The work-stealing caps are compared to each
 //!   other, not just to BSP, so a cap-dependent divergence cannot hide
 //!   behind a loose reference.
-//! * **Adaptive-cap invariance.** The adaptive pool — whose governor moves
-//!   the active-worker cap between epoch folds — bit-matches the fixed pool
-//!   on every fuzzed scenario, and obeys the same staleness bound for
-//!   `K > 0`: adaptation is a wall-time knob, never a results knob.
 //! * **Staleness bound for K > 0.** View- and reuse-staleness histograms
 //!   never exceed the bound, one view observation is recorded per
 //!   tenant-epoch actually stepped, and the schedule-determined fields
@@ -85,9 +80,9 @@ fn run_warm(
     report
 }
 
-/// Every transport at `staleness = 0` — the barrier, one thread per tenant,
-/// and the work-stealing pool at each cap — produces a bit-identical run on
-/// every fuzzed scenario, and the staleness telemetry agrees exactly.
+/// The work-stealing pool at `staleness = 0` and at each thread count
+/// produces the barrier's bit-identical run on every fuzzed scenario, and
+/// the staleness telemetry agrees exactly.
 fn assert_zero_staleness_family_matches(
     bsp: &FleetReport,
     scenario: &Scenario,
@@ -96,15 +91,11 @@ fn assert_zero_staleness_family_matches(
     label: &str,
 ) {
     let _ = (scenario, repo);
-    let async0 = runner(TransportConfig::BoundedStaleness { staleness: 0 });
-    assert_reports_bit_match(bsp, &async0, &format!("{label} async0"));
-    assert_eq!(async0.transport.view_staleness.max(), 0, "{label} async0");
     let mut steal_runs = Vec::new();
     for threads in THREAD_CAPS {
         let steal = runner(TransportConfig::WorkStealing {
             threads,
             staleness: 0,
-            adaptive: false,
         });
         assert_reports_bit_match(bsp, &steal, &format!("{label} steal{threads}T"));
         assert_eq!(
@@ -114,7 +105,7 @@ fn assert_zero_staleness_family_matches(
         );
         assert_eq!(
             steal.transport.view_staleness.total(),
-            async0.transport.view_staleness.total(),
+            bsp.transport.view_staleness.total(),
             "{label} steal{threads}T telemetry totals"
         );
         steal_runs.push((threads, steal));
@@ -126,22 +117,6 @@ fn assert_zero_staleness_family_matches(
         let (tb, b) = &window[1];
         assert_reports_bit_match(a, b, &format!("{label} steal {ta}T vs {tb}T"));
     }
-    // Adaptive-cap invariance: the governor moves the active-worker cap
-    // between epoch folds, but cap-invariance promises that is a pure
-    // wall-time knob — the adaptive pool must stay bit-identical to the
-    // fixed pool (and hence the barrier) at the same configured size.
-    let max_threads = *THREAD_CAPS.last().expect("thread caps");
-    let adaptive = runner(TransportConfig::WorkStealing {
-        threads: max_threads,
-        staleness: 0,
-        adaptive: true,
-    });
-    assert_reports_bit_match(bsp, &adaptive, &format!("{label} steal-adaptive"));
-    assert_eq!(
-        adaptive.transport.view_staleness.max(),
-        0,
-        "{label} steal-adaptive"
-    );
 }
 
 #[test]
@@ -211,34 +186,15 @@ fn staleness_bound_holds_and_schedule_fields_stay_deterministic_for_positive_k()
         let k = 1 + rng.uniform_usize(3);
         let bsp = run(&scenario, &repo, TransportConfig::Bsp);
         let expected_views: u64 = bsp.tenants.iter().map(|t| t.active_epochs as u64).sum();
-        let mut runs = vec![run(
-            &scenario,
-            &repo,
-            TransportConfig::BoundedStaleness { staleness: k },
-        )];
-        for threads in [1, 3] {
-            runs.push(run(
+        for threads in [1, 2, 3] {
+            let report = run(
                 &scenario,
                 &repo,
                 TransportConfig::WorkStealing {
                     threads,
                     staleness: k,
-                    adaptive: false,
                 },
-            ));
-        }
-        // The adaptive pool obeys the same staleness bound and the same
-        // schedule-determined fields — the cap governor cannot loosen K.
-        runs.push(run(
-            &scenario,
-            &repo,
-            TransportConfig::WorkStealing {
-                threads: 3,
-                staleness: k,
-                adaptive: true,
-            },
-        ));
-        for report in &runs {
+            );
             let label = format!("case {case} k={k} {}", report.transport.name);
             assert!(
                 report.transport.view_staleness.max() <= k,
@@ -353,7 +309,7 @@ fn run_with_obs(
 }
 
 /// The flight recorder never perturbs results: an obs-on run bit-matches the
-/// obs-off barrier reference for every transport at `staleness = 0`, on
+/// obs-off barrier reference for both transports at `staleness = 0`, on
 /// fuzzed scenarios, with the toggle itself randomized per family member so
 /// both recorder paths keep getting exercised across the whole matrix.
 #[test]
@@ -370,7 +326,7 @@ fn obs_recording_is_invisible_to_results_across_transports() {
             "obs case {case}: the enabled recorder saw no epochs"
         );
         // Deterministically alternate the toggle across the family members
-        // (async0, steal at each thread cap), seeded by the case index.
+        // (steal at each thread count), seeded by the case index.
         let draws = Cell::new(0u64);
         assert_zero_staleness_family_matches(
             &bsp,

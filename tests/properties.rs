@@ -932,12 +932,12 @@ fn transport_scenario(seed: u64) -> dejavu::fleet::Scenario {
         .build()
 }
 
-/// `BoundedStaleness(0)` bit-matches the BSP barrier: with a zero bound no
-/// tenant may enter an epoch before every prior epoch is fully committed, so
-/// the store is frozen whenever anyone reads it — exactly the barrier's
-/// schedule, modulo which threads execute it.
+/// `WorkStealing` at staleness 0 bit-matches the BSP barrier: with a zero
+/// bound no tenant may enter an epoch before every prior epoch is fully
+/// committed, so the store is frozen whenever anyone reads it — exactly the
+/// barrier's schedule, modulo which threads execute it.
 #[test]
-fn bounded_staleness_zero_bit_matches_the_bsp_barrier() {
+fn work_stealing_zero_bit_matches_the_bsp_barrier() {
     for seed in [13u64, 29] {
         let run = |transport| {
             FleetEngine::new(
@@ -950,29 +950,36 @@ fn bounded_staleness_zero_bit_matches_the_bsp_barrier() {
             .run()
         };
         let bsp = run(TransportConfig::Bsp);
-        let async0 = run(TransportConfig::BoundedStaleness { staleness: 0 });
-        assert_reports_bit_match(&bsp, &async0, &format!("seed {seed}"));
+        let steal0 = run(TransportConfig::WorkStealing {
+            threads: 2,
+            staleness: 0,
+        });
+        assert_reports_bit_match(&bsp, &steal0, &format!("seed {seed}"));
         // The zero-bound schedule also never observed a stale view.
-        assert_eq!(async0.transport.view_staleness.max(), 0, "seed {seed}");
+        assert_eq!(steal0.transport.view_staleness.max(), 0, "seed {seed}");
         assert_eq!(
-            async0.transport.view_staleness.total(),
+            steal0.transport.view_staleness.total(),
             bsp.transport.view_staleness.total(),
             "seed {seed}"
         );
     }
 }
 
-/// `BoundedStaleness(K)` never serves a view staler than `K` epochs: the
-/// observed-staleness histogram (one observation per tenant-epoch, recorded
-/// when the tenant enters the epoch) never exceeds the bound, and neither
-/// does the staleness of any view that produced a committed reuse.
+/// `WorkStealing` at staleness `K` never serves a view staler than `K`
+/// epochs: the observed-staleness histogram (one observation per
+/// tenant-epoch, recorded when the tenant enters the epoch) never exceeds
+/// the bound, and neither does the staleness of any view that produced a
+/// committed reuse.
 #[test]
-fn bounded_staleness_never_exceeds_its_bound() {
+fn work_stealing_never_exceeds_its_staleness_bound() {
     for k in [0usize, 1, 3] {
         let report = FleetEngine::new(
             transport_scenario(13),
             FleetConfig {
-                transport: TransportConfig::BoundedStaleness { staleness: k },
+                transport: TransportConfig::WorkStealing {
+                    threads: 2,
+                    staleness: k,
+                },
                 ..Default::default()
             },
         )
