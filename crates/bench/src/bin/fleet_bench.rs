@@ -32,6 +32,9 @@
 //! * `--baseline PATH` — compare against a previously recorded file and exit
 //!   non-zero if `shared_lookup_hit_per_sec` regressed more than
 //!   `--max-regress` (default 0.30, i.e. 30%).
+//!
+//! A missing or malformed flag value, or a `--baseline` file that cannot be
+//! read or lacks `shared_lookup_hit_per_sec`, exits 2 before anything runs.
 
 use dejavu_cloud::ResourceAllocation;
 use dejavu_core::{RepositoryKey, SignatureRepository};
@@ -50,7 +53,8 @@ struct Args {
     out: String,
     label: String,
     append: bool,
-    baseline: Option<String>,
+    /// `shared_lookup_hit_per_sec` of the `--baseline` file.
+    baseline: Option<f64>,
     max_regress: f64,
     fleets: Vec<(usize, usize)>,
     scale_tenants: Option<usize>,
@@ -72,37 +76,63 @@ fn parse_args() -> Args {
         match arg.as_str() {
             "--quick" => args.quick = true,
             "--append" => args.append = true,
-            "--out" => args.out = it.next().expect("--out needs a path"),
-            "--label" => args.label = it.next().expect("--label needs a name"),
-            "--baseline" => args.baseline = Some(it.next().expect("--baseline needs a path")),
+            "--out" => args.out = flag_value(&mut it, "--out needs a path"),
+            "--label" => args.label = flag_value(&mut it, "--label needs a name"),
+            "--baseline" => {
+                let path = flag_value(&mut it, "--baseline needs a path");
+                args.baseline = Some(read_baseline(&path));
+            }
             "--fleet" => {
-                let spec = it.next().expect("--fleet needs TENANTS:DAYS");
-                let (t, d) = spec.split_once(':').expect("--fleet needs TENANTS:DAYS");
-                args.fleets.push((
-                    t.parse().expect("tenant count"),
-                    d.parse().expect("day count"),
-                ));
+                let size = it.next().and_then(|spec| {
+                    let (t, d) = spec.split_once(':')?;
+                    Some((t.parse().ok()?, d.parse().ok()?))
+                });
+                match size {
+                    Some((t, d)) if t > 0 && d > 0 => args.fleets.push((t, d)),
+                    _ => usage_error("--fleet needs TENANTS:DAYS, both positive integers"),
+                }
             }
-            "--scale-tenants" => {
-                args.scale_tenants = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--scale-tenants needs a tenant count"),
-                )
-            }
-            "--max-regress" => {
-                args.max_regress = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--max-regress needs a fraction")
-            }
-            other => {
-                eprintln!("unknown flag '{other}'");
-                std::process::exit(2);
-            }
+            "--scale-tenants" => match it.next().and_then(|v| v.parse().ok()) {
+                Some(n) if n > 0 => args.scale_tenants = Some(n),
+                _ => usage_error("--scale-tenants needs a positive tenant count"),
+            },
+            "--max-regress" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
+                Some(f) if (0.0..=1.0).contains(&f) => args.max_regress = f,
+                _ => usage_error("--max-regress needs a fraction in [0, 1]"),
+            },
+            other => usage_error(&format!("unknown flag '{other}'")),
         }
     }
     args
+}
+
+/// Prints `message` and exits with status 2: a missing or malformed flag
+/// value is a usage error, never a panic or a silent default.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
+/// The `shared_lookup_hit_per_sec` recorded in a `--baseline` file, read
+/// before any benchmark runs; an unreadable file or one without the figure
+/// is a usage error.
+fn read_baseline(path: &str) -> f64 {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| usage_error(&format!("--baseline {path}: {e}")));
+    extract_number(&text, "shared_lookup_hit_per_sec").unwrap_or_else(|| {
+        usage_error(&format!(
+            "--baseline {path}: no shared_lookup_hit_per_sec figure"
+        ))
+    })
+}
+
+/// The value of a path- or name-taking flag; a missing value, or the next
+/// flag in its place, is a usage error.
+fn flag_value(it: &mut impl Iterator<Item = String>, message: &str) -> String {
+    match it.next() {
+        Some(v) if !v.starts_with("--") => v,
+        _ => usage_error(message),
+    }
 }
 
 /// One end-to-end fleet measurement.
@@ -1118,10 +1148,7 @@ fn main() {
     std::fs::write(&args.out, &json).expect("write BENCH_fleet.json");
     eprintln!("wrote {}", args.out);
 
-    if let Some(baseline) = &args.baseline {
-        let base = std::fs::read_to_string(baseline).expect("read baseline file");
-        let base_per_sec = extract_number(&base, "shared_lookup_hit_per_sec")
-            .expect("baseline has shared_lookup_hit_per_sec");
+    if let Some(base_per_sec) = args.baseline {
         let floor = base_per_sec * (1.0 - args.max_regress);
         eprintln!(
             "regression gate: {shared_hit_per_sec:.0} ops/s vs baseline {base_per_sec:.0} (floor {floor:.0})"

@@ -50,17 +50,17 @@ fn main() {
             }
         } else if arg == "--tenants" {
             match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => fleet_opts.tenants = n,
-                None => {
-                    eprintln!("--tenants needs a tenant count");
+                Some(n) if n > 0 => fleet_opts.tenants = n,
+                _ => {
+                    eprintln!("--tenants needs a positive tenant count");
                     std::process::exit(2);
                 }
             }
         } else if arg == "--days" {
             match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => fleet_opts.days = n,
-                None => {
-                    eprintln!("--days needs a day count");
+                Some(n) if n > 0 => fleet_opts.days = n,
+                _ => {
+                    eprintln!("--days needs a positive day count");
                     std::process::exit(2);
                 }
             }

@@ -32,6 +32,9 @@ fn non_numeric_counts_are_rejected_not_defaulted() {
     assert_rejected(&["fleet", "--tenants", "abc"], &["--tenants"]);
     assert_rejected(&["fleet", "--days", "abc"], &["--days"]);
     assert_rejected(&["fleet", "--seed", "-1"], &["--seed"]);
+    // Zero tenants or days would silently run 1 tenant or 1 day.
+    assert_rejected(&["fleet", "--tenants", "0", "--days", "1"], &["--tenants"]);
+    assert_rejected(&["fleet", "--tenants", "4", "--days", "0"], &["--days"]);
     // A flag with no value at all is the same error.
     assert_rejected(&["fleet", "--days"], &["--days"]);
 }

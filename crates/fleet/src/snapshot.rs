@@ -11,11 +11,11 @@
 //!
 //! # Format
 //!
-//! The format is a line-oriented text format, chosen over the vendored serde
-//! stubs because it must round-trip `f64`s bit-exactly and emit byte-identical
-//! output for identical repositories (floats are written as 16-digit hex IEEE
-//! bit patterns, `fb<bits>`). The first line carries the format version and is
-//! checked on load:
+//! The format is a line-oriented text format, because it must round-trip
+//! `f64`s bit-exactly and emit byte-identical output for identical
+//! repositories (floats are written as 16-digit hex IEEE bit patterns,
+//! `fb<bits>`). The first line carries the format version and is checked on
+//! load:
 //!
 //! ```text
 //! dejavu-fleet-snapshot v1
@@ -45,7 +45,6 @@
 
 use crate::shared_repo::ShardStats;
 use dejavu_cloud::{InstanceType, ResourceAllocation};
-use serde::{Deserialize, Serialize};
 
 /// The version string written to (and required of) every snapshot.
 pub const SNAPSHOT_VERSION: &str = "dejavu-fleet-snapshot v1";
@@ -67,22 +66,6 @@ pub const DELTA_SNAPSHOT_VERSION: &str = "dejavu-fleet-snapshot v1.1 delta";
 /// or hostile `config shards=…` line is rejected with a typed error instead
 /// of aborting the process inside a huge allocation.
 pub const MAX_SHARDS: usize = 1 << 16;
-
-// The snapshot types stay serde-shaped so the planned swap to the real serde
-// (ROADMAP: `vendor/*` are hermetic stand-ins) is a manifest-only change:
-// these bounds fail to compile if anyone drops the derives — which is also
-// what requires the vendored derive macros to emit real marker impls.
-const _: () = {
-    fn serde_shaped<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-    #[allow(dead_code)]
-    fn assert_snapshot_types_are_serde_shaped() {
-        serde_shaped::<RepoSnapshot>();
-        serde_shaped::<NamespaceSnapshot>();
-        serde_shaped::<AnchorSnapshot>();
-        serde_shaped::<EntrySnapshot>();
-        serde_shaped::<DeltaSnapshot>();
-    }
-};
 
 /// Why a snapshot failed to load.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,7 +156,7 @@ impl std::fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 /// One anchor of a namespace: its id and full-precision centroid values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnchorSnapshot {
     /// The anchor id (dense: ids cover `0..count`).
     pub id: u32,
@@ -182,7 +165,7 @@ pub struct AnchorSnapshot {
 }
 
 /// One stored entry of a namespace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EntrySnapshot {
     /// The anchor the entry is keyed under.
     pub anchor: u32,
@@ -203,7 +186,7 @@ pub struct EntrySnapshot {
 }
 
 /// One namespace: anchors in id order plus entries in key order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NamespaceSnapshot {
     /// The namespace id.
     pub id: u64,
@@ -219,7 +202,7 @@ pub struct NamespaceSnapshot {
 /// back into a repository by
 /// [`crate::SharedSignatureRepository::from_snapshot`]; [`encode`] and
 /// [`decode`] convert it to and from the persistent text form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RepoSnapshot {
     /// Number of lock-striped shards.
     pub shards: usize,
@@ -246,7 +229,7 @@ pub struct RepoSnapshot {
 /// is a wholesale swap — no merge logic, no deletion records, and bit-exact
 /// by construction. The shard's statistics counters travel with it because
 /// they advance on every commit and sweep of the shard.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeltaSnapshot {
     /// The shard the delta belongs to.
     pub shard: usize,

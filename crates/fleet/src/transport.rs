@@ -12,8 +12,8 @@
 //!   sweep. Mid-epoch the store is frozen, so runs are **bit-deterministic**
 //!   for any worker count. It is the golden reference.
 //! * [`WorkStealing`] is the asynchronous backend: a fixed pool of workers
-//!   pulls per-epoch tenant tasks from a shared deque (the vendored mini
-//!   `crossbeam-deque`), so a 1000-tenant fleet runs on a handful of
+//!   pulls per-epoch tenant tasks from shared queues (a global injector
+//!   plus one deque per worker), so a 1000-tenant fleet runs on a handful of
 //!   threads. A tenant may run up to `K` epochs ahead of the commit frontier
 //!   **of its own shard**, so fast tenants never wait at a barrier for slow
 //!   ones. Each tenant's view of the shared repository is **at most `K`
@@ -39,10 +39,9 @@
 //! skewed scenarios that shrinks commit latency without weakening any bound
 //! a tenant can observe.
 //!
-//! Epoch reports travel over the vendored mini mpsc channel
-//! (`crossbeam-channel`). New consistency models (e.g. quorum commits) are
-//! one [`CommitTransport`] impl away — the engine only prepares tenants and
-//! consumes the [`TransportOutcome`].
+//! Epoch reports travel over a `std::sync::mpsc` channel. New consistency
+//! models (e.g. quorum commits) are one [`CommitTransport`] impl away — the
+//! engine only prepares tenants and consumes the [`TransportOutcome`].
 
 use crate::durable::DurableCheckpointStore;
 use crate::engine::{RunState, SimulationEngine};
@@ -51,7 +50,6 @@ use crate::repo_client::RepositoryClient;
 use crate::shared_repo::{DeltaCursor, PendingOp, SharedSignatureRepository};
 use crate::snapshot::{CheckpointStore, DeltaSnapshot};
 use crate::tenant_view::TenantRepoView;
-use crossbeam_deque::{Injector, Stealer, Worker};
 use dejavu_baselines::{FixedMax, RightScale};
 use dejavu_cloud::ProvisioningController;
 use dejavu_core::DejaVuController;
@@ -61,7 +59,8 @@ use dejavu_simcore::SimTime;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Shared handle to a tenant's buffered operations; the transport drains it
 /// at every epoch boundary of that tenant.
@@ -1153,7 +1152,7 @@ enum Held {
 /// reports are delivered twice. The committer's idempotent admission makes
 /// all three shuffles invisible in the committed results.
 struct FaultyInbox<'a> {
-    rx: &'a crossbeam_channel::Receiver<EpochReport>,
+    rx: &'a Receiver<EpochReport>,
     injector: FaultInjector,
     tallies: &'a FaultTallies,
     recorder: &'a Recorder,
@@ -1166,7 +1165,7 @@ struct FaultyInbox<'a> {
 
 impl<'a> FaultyInbox<'a> {
     fn new(
-        rx: &'a crossbeam_channel::Receiver<EpochReport>,
+        rx: &'a Receiver<EpochReport>,
         injector: FaultInjector,
         tallies: &'a FaultTallies,
         recorder: &'a Recorder,
@@ -1257,7 +1256,6 @@ impl<'a> FaultyInbox<'a> {
     }
 
     fn recv(&mut self) -> Option<EpochReport> {
-        use crossbeam_channel::TryRecvError;
         loop {
             if let Some(report) = self.due.pop_front() {
                 return Some(report);
@@ -1299,7 +1297,7 @@ impl<'a> FaultyInbox<'a> {
 /// The committer's report source: the raw channel, or the fault-injecting
 /// wrapper.
 enum Inbox<'a> {
-    Plain(&'a crossbeam_channel::Receiver<EpochReport>),
+    Plain(&'a Receiver<EpochReport>),
     Faulty(FaultyInbox<'a>),
 }
 
@@ -1855,6 +1853,68 @@ fn crash_and_recover(
     replayed
 }
 
+/// The work-stealing pool's task queues of tenant indices: a FIFO injector
+/// the committer feeds, and one deque per worker. The owner pushes and pops
+/// the back of its own deque, so a hot tenant stays on its worker; a thief
+/// takes the front of a peer's deque, the oldest task; a worker whose deque
+/// is empty refills from the injector in batches. One mutex per queue is
+/// plenty: the pool schedules one task per tenant-epoch, each worth
+/// milliseconds of simulation.
+struct TaskQueues {
+    injector: Mutex<VecDeque<usize>>,
+    workers: Box<[Mutex<VecDeque<usize>>]>,
+}
+
+/// Most tasks one injector refill moves onto a worker's deque besides the
+/// one it returns.
+const MAX_STEAL_BATCH: usize = 16;
+
+impl TaskQueues {
+    fn new(workers: usize) -> Self {
+        TaskQueues {
+            injector: Mutex::new(VecDeque::new()),
+            workers: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+        }
+    }
+
+    fn lock(queue: &Mutex<VecDeque<usize>>) -> MutexGuard<'_, VecDeque<usize>> {
+        queue.lock().expect("task queue poisoned")
+    }
+
+    /// Queues `tenant` at the back of the injector.
+    fn inject(&self, tenant: usize) {
+        Self::lock(&self.injector).push_back(tenant);
+    }
+
+    /// Pushes `tenant` onto the back of `worker`'s deque.
+    fn push(&self, worker: usize, tenant: usize) {
+        Self::lock(&self.workers[worker]).push_back(tenant);
+    }
+
+    /// The newest task on `worker`'s own deque.
+    fn pop(&self, worker: usize) -> Option<usize> {
+        Self::lock(&self.workers[worker]).pop_back()
+    }
+
+    /// Takes the oldest injected task for `worker` and moves up to
+    /// `min(16, ceil(rest / 2))` of the tasks behind it, in order, onto the
+    /// back of the worker's deque.
+    fn steal_batch(&self, worker: usize) -> Option<usize> {
+        let mut injector = Self::lock(&self.injector);
+        let task = injector.pop_front()?;
+        let batch = injector.len().div_ceil(2).min(MAX_STEAL_BATCH);
+        Self::lock(&self.workers[worker]).extend(injector.drain(..batch));
+        Some(task)
+    }
+
+    /// The oldest task of the first non-empty worker deque, in worker order.
+    fn steal_peer(&self) -> Option<usize> {
+        self.workers
+            .iter()
+            .find_map(|queue| Self::lock(queue).pop_front())
+    }
+}
+
 /// One tenant's schedulable state under [`WorkStealing`]: its handle plus
 /// the next epoch it will step. Lives in the tenant's slot whenever the
 /// tenant is queued (injector or a worker deque) or parked on a frontier; a
@@ -1872,8 +1932,7 @@ struct StealPool<'a, 'h> {
     ctx: &'a FleetContext<'h>,
     frontiers: &'a ShardFrontiers,
     doorbell: &'a Doorbell,
-    injector: &'a Injector<usize>,
-    stealers: &'a [Stealer<usize>],
+    queues: &'a TaskQueues,
     slots: &'a [Mutex<Option<TenantTask<'h>>>],
     windows: &'a [(usize, usize)],
     tenant_shard: &'a [usize],
@@ -1889,12 +1948,7 @@ impl<'h> StealPool<'_, 'h> {
     /// the shared injector (batch) or a peer's deque; run the claimed
     /// tenant's next epoch; sleep on the doorbell only when every queue was
     /// observed empty at an unchanged doorbell generation.
-    fn run_worker(
-        &self,
-        worker: usize,
-        local: &Worker<usize>,
-        tx: &crossbeam_channel::Sender<EpochReport>,
-    ) {
+    fn run_worker(&self, worker: usize, tx: &Sender<EpochReport>) {
         let recorder = self.ctx.recorder();
         loop {
             // Snapshot the doorbell before scanning: a task injected after an
@@ -1908,12 +1962,11 @@ impl<'h> StealPool<'_, 'h> {
             // A task that did not come off the local deque was stolen — from
             // the shared injector or a peer's cold end.
             let mut stolen = false;
-            let task = local.pop().or_else(|| {
+            let task = self.queues.pop(worker).or_else(|| {
                 stolen = true;
-                self.injector
-                    .steal_batch_and_pop(local)
-                    .or_else(|| self.stealers.iter().map(|s| s.steal()).collect())
-                    .success()
+                self.queues
+                    .steal_batch(worker)
+                    .or_else(|| self.queues.steal_peer())
             });
             match task {
                 Some(tenant) => {
@@ -1923,7 +1976,7 @@ impl<'h> StealPool<'_, 'h> {
                             worker: worker as u64,
                         });
                     }
-                    self.run_tenant(tenant, local, tx)
+                    self.run_tenant(tenant, worker, tx)
                 }
                 None => {
                     if self.remaining.load(Ordering::Acquire) == 0 {
@@ -1942,12 +1995,7 @@ impl<'h> StealPool<'_, 'h> {
     /// Steps one epoch of `tenant` (or parks it on its shard's frontier) and
     /// reschedules the continuation through the local deque, where an idle
     /// peer can steal it.
-    fn run_tenant(
-        &self,
-        tenant: usize,
-        local: &Worker<usize>,
-        tx: &crossbeam_channel::Sender<EpochReport>,
-    ) {
+    fn run_tenant(&self, tenant: usize, worker: usize, tx: &Sender<EpochReport>) {
         let mut task = self.slots[tenant]
             .lock()
             .expect("tenant slot poisoned")
@@ -2040,27 +2088,26 @@ impl<'h> StealPool<'_, 'h> {
         // this worker when nobody is idle, while an idle peer steals it from
         // the cold end.
         *self.slots[tenant].lock().expect("tenant slot poisoned") = Some(task);
-        local.push(tenant);
+        self.queues.push(worker, tenant);
     }
 }
 
 /// The asynchronous bounded-staleness transport on a **fixed worker pool**.
 ///
 /// [`threads`](Self::threads) workers pull per-epoch tenant tasks from a
-/// shared deque (the vendored mini `crossbeam-deque`: a global injector plus
-/// per-worker deques with stealers), so a 1000-tenant fleet runs on a
-/// handful of threads. Every tenant may advance up to
-/// [`staleness`](Self::staleness) epochs beyond **its shard's** commit
-/// frontier; a tenant whose frontier is too far behind is **parked as
-/// data** (never blocking a pool worker) and re-injected by the
-/// committer when its shard catches up. The committer assembles each
-/// shard's epoch reports (arriving over the vendored mini mpsc channel),
-/// applies them in tenant order, runs that shard's TTL sweep and advances
-/// its frontier. Views are therefore never more than `staleness` epochs
-/// stale, and with `staleness = 0` the schedule collapses to the BSP barrier
-/// per shard: no tenant may enter an epoch before every prior epoch of the
-/// only shard it can observe committed, so the store is frozen while anyone
-/// reads it and the run bit-matches [`BspBarrier`].
+/// global injector plus one deque per worker that idle peers steal from, so
+/// a 1000-tenant fleet runs on a handful of threads. Every tenant may
+/// advance up to [`staleness`](Self::staleness) epochs beyond **its
+/// shard's** commit frontier; a tenant whose frontier is too far behind is
+/// **parked as data** (never blocking a pool worker) and re-injected by the
+/// committer when its shard catches up. The committer assembles each shard's
+/// epoch reports (arriving over an mpsc channel), applies them in tenant
+/// order, runs that shard's TTL sweep and advances its frontier. Views are
+/// therefore never more than `staleness` epochs stale, and with
+/// `staleness = 0` the schedule collapses to the BSP barrier per shard: no
+/// tenant may enter an epoch before every prior epoch of the only shard it
+/// can observe committed, so the store is frozen while anyone reads it and
+/// the run bit-matches [`BspBarrier`].
 ///
 /// Tenant stepping is sequential per tenant, commits are per shard in tenant
 /// order, and sweep times are fixed by the epoch grid — none of it depends
@@ -2102,7 +2149,7 @@ impl CommitTransport for WorkStealing {
         let frontiers = ShardFrontiers::new(ctx.shard_count(), self.staleness);
         let domain = fault_domain(&ctx, &windows, &tenant_shard);
         let domain_ref = domain.as_ref();
-        let injector = Injector::new();
+        let queues = TaskQueues::new(threads);
         let doorbell = Doorbell::default();
         let mut active = 0usize;
         let slots: Vec<Mutex<Option<TenantTask<'_>>>> = handles
@@ -2119,31 +2166,28 @@ impl CommitTransport for WorkStealing {
                 });
                 if task.is_some() {
                     active += 1;
-                    injector.push(index);
+                    queues.inject(index);
                 }
                 Mutex::new(task)
             })
             .collect();
         let remaining = AtomicUsize::new(active);
-        let (tx, rx) = crossbeam_channel::unbounded::<EpochReport>();
-        let locals: Vec<Worker<usize>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-        let stealers: Vec<Stealer<usize>> = locals.iter().map(|w| w.stealer()).collect();
+        let (tx, rx) = mpsc::channel::<EpochReport>();
         std::thread::scope(|scope| {
-            for (worker, local) in locals.into_iter().enumerate() {
+            for worker in 0..threads {
                 let tx = tx.clone();
                 let pool = StealPool {
                     ctx: &ctx,
                     frontiers: &frontiers,
                     doorbell: &doorbell,
-                    injector: &injector,
-                    stealers: &stealers,
+                    queues: &queues,
                     slots: &slots,
                     windows: &windows,
                     tenant_shard: &tenant_shard,
                     remaining: &remaining,
                     domain: domain_ref,
                 };
-                scope.spawn(move || pool.run_worker(worker, &local, &tx));
+                scope.spawn(move || pool.run_worker(worker, &tx));
             }
             drop(tx);
 
@@ -2175,7 +2219,7 @@ impl CommitTransport for WorkStealing {
                         return;
                     }
                     for tenant in released {
-                        injector.push(tenant);
+                        queues.inject(tenant);
                     }
                     doorbell.ring();
                 },
@@ -2305,6 +2349,83 @@ mod tests {
         assert_eq!(frontiers.advance(0, 1), vec![8]);
         assert_eq!(frontiers.advance(0, 2), vec![7]);
         assert_eq!(frontiers.enter_or_park(0, 2, 7), Some(0));
+    }
+
+    #[test]
+    fn owners_pop_the_newest_task_and_thieves_steal_the_oldest() {
+        let queues = TaskQueues::new(2);
+        for tenant in 1..=3 {
+            queues.push(0, tenant);
+        }
+        assert_eq!(queues.steal_peer(), Some(1), "thieves take the old end");
+        assert_eq!(queues.pop(0), Some(3), "the owner takes the new end");
+        assert_eq!(queues.pop(0), Some(2));
+        assert_eq!(queues.pop(0), None);
+        assert_eq!(queues.steal_peer(), None);
+        // Thieves scan the workers in order.
+        queues.push(1, 9);
+        queues.push(0, 8);
+        assert_eq!(queues.steal_peer(), Some(8));
+        assert_eq!(queues.steal_peer(), Some(9));
+    }
+
+    #[test]
+    fn injector_refills_move_at_most_half_the_rest_capped_at_16() {
+        // (queued, expected batch riding along with the returned task)
+        for (queued, batch) in [(1, 0), (2, 1), (3, 1), (4, 2), (10, 5), (33, 16), (100, 16)] {
+            let queues = TaskQueues::new(1);
+            for tenant in 0..queued {
+                queues.inject(tenant);
+            }
+            assert_eq!(queues.steal_batch(0), Some(0), "FIFO injector");
+            let moved: Vec<usize> = std::iter::from_fn(|| queues.steal_peer()).collect();
+            assert_eq!(moved, (1..=batch).collect::<Vec<_>>(), "{queued} queued");
+            assert_eq!(
+                TaskQueues::lock(&queues.injector).len(),
+                queued - 1 - batch,
+                "{queued} queued"
+            );
+        }
+        assert_eq!(TaskQueues::new(1).steal_batch(0), None);
+    }
+
+    #[test]
+    fn concurrent_stealing_loses_no_task() {
+        let workers = 4;
+        let total = 1000usize;
+        let queues = TaskQueues::new(workers);
+        for tenant in 0..total {
+            queues.inject(tenant);
+        }
+        let start = std::sync::Barrier::new(workers);
+        let mut got: Vec<usize> = std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..workers)
+                .map(|worker| {
+                    let (queues, start) = (&queues, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut taken = Vec::new();
+                        loop {
+                            let task = queues
+                                .pop(worker)
+                                .or_else(|| queues.steal_batch(worker))
+                                .or_else(|| queues.steal_peer());
+                            match task {
+                                Some(tenant) => taken.push(tenant),
+                                None if TaskQueues::lock(&queues.injector).is_empty() => break,
+                                None => {}
+                            }
+                        }
+                        taken
+                    })
+                })
+                .collect();
+            runs.into_iter()
+                .flat_map(|run| run.join().expect("worker finished"))
+                .collect()
+        });
+        got.sort_unstable();
+        assert_eq!(got, (0..total).collect::<Vec<_>>());
     }
 
     #[test]

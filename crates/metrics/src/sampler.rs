@@ -11,10 +11,9 @@ use crate::counter::MetricKind;
 use crate::model::{MetricModel, WorkloadPoint};
 use crate::signature::WorkloadSignature;
 use dejavu_simcore::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Sampler configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SamplerConfig {
     /// Length of the profiling window.
     pub window: SimDuration,
@@ -55,7 +54,7 @@ impl Default for SamplerConfig {
 /// let sig = sampler.sample(&point, &mut rng);
 /// assert_eq!(sig.len(), sampler.model().catalog().len());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricSampler {
     model: MetricModel,
     config: SamplerConfig,

@@ -8,12 +8,11 @@
 //! are tracked, neither breaks profiling because DejaVu only needs the clone
 //! to be loaded *like* production, not to be a verbatim copy.
 
-use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found an answer.
     pub hits: u64,
@@ -45,17 +44,17 @@ impl CacheStats {
 ///
 /// ```
 /// use dejavu_proxy::AnswerCache;
-/// use bytes::Bytes;
+/// use std::sync::Arc;
 ///
 /// let mut cache = AnswerCache::new(2);
-/// cache.insert(1, Bytes::from_static(b"row-1"));
-/// assert_eq!(cache.lookup(1), Some(Bytes::from_static(b"row-1")));
+/// cache.insert(1, Arc::from(b"row-1".as_slice()));
+/// assert_eq!(cache.lookup(1).as_deref(), Some(b"row-1".as_slice()));
 /// assert_eq!(cache.lookup(99), None);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AnswerCache {
     capacity: usize,
-    entries: HashMap<u64, (Bytes, u64)>,
+    entries: HashMap<u64, (Arc<[u8]>, u64)>,
     /// Recency counter; larger = more recent.
     clock: u64,
     stats: CacheStats,
@@ -94,7 +93,7 @@ impl AnswerCache {
 
     /// Inserts (or refreshes) the answer for a request hash, evicting the
     /// least-recently-used entry if the cache is full.
-    pub fn insert(&mut self, request_hash: u64, answer: Bytes) {
+    pub fn insert(&mut self, request_hash: u64, answer: Arc<[u8]>) {
         self.clock += 1;
         self.stats.insertions += 1;
         if !self.entries.contains_key(&request_hash) && self.entries.len() >= self.capacity {
@@ -108,7 +107,7 @@ impl AnswerCache {
 
     /// Looks up the most recent answer for a request hash, refreshing its
     /// recency on a hit.
-    pub fn lookup(&mut self, request_hash: u64) -> Option<Bytes> {
+    pub fn lookup(&mut self, request_hash: u64) -> Option<Arc<[u8]>> {
         self.clock += 1;
         let clock = self.clock;
         match self.entries.get_mut(&request_hash) {
@@ -141,9 +140,9 @@ mod tests {
     #[test]
     fn insert_and_lookup() {
         let mut c = AnswerCache::new(4);
-        c.insert(1, Bytes::from_static(b"a"));
-        c.insert(2, Bytes::from_static(b"b"));
-        assert_eq!(c.lookup(1), Some(Bytes::from_static(b"a")));
+        c.insert(1, Arc::from(b"a".as_slice()));
+        c.insert(2, Arc::from(b"b".as_slice()));
+        assert_eq!(c.lookup(1).as_deref(), Some(b"a".as_slice()));
         assert_eq!(c.lookup(3), None);
         assert_eq!(c.len(), 2);
         let stats = c.stats();
@@ -156,11 +155,11 @@ mod tests {
     #[test]
     fn lru_eviction() {
         let mut c = AnswerCache::new(2);
-        c.insert(1, Bytes::from_static(b"a"));
-        c.insert(2, Bytes::from_static(b"b"));
+        c.insert(1, Arc::from(b"a".as_slice()));
+        c.insert(2, Arc::from(b"b".as_slice()));
         // Touch 1 so 2 becomes the LRU.
         let _ = c.lookup(1);
-        c.insert(3, Bytes::from_static(b"c"));
+        c.insert(3, Arc::from(b"c".as_slice()));
         assert_eq!(c.len(), 2);
         assert!(c.lookup(2).is_none(), "LRU entry should have been evicted");
         assert!(c.lookup(1).is_some());
@@ -170,11 +169,11 @@ mod tests {
     #[test]
     fn refresh_existing_key_does_not_evict() {
         let mut c = AnswerCache::new(2);
-        c.insert(1, Bytes::from_static(b"a"));
-        c.insert(2, Bytes::from_static(b"b"));
-        c.insert(1, Bytes::from_static(b"a2"));
+        c.insert(1, Arc::from(b"a".as_slice()));
+        c.insert(2, Arc::from(b"b".as_slice()));
+        c.insert(1, Arc::from(b"a2".as_slice()));
         assert_eq!(c.len(), 2);
-        assert_eq!(c.lookup(1), Some(Bytes::from_static(b"a2")));
+        assert_eq!(c.lookup(1).as_deref(), Some(b"a2".as_slice()));
         assert_eq!(c.stats().evictions, 0);
     }
 
@@ -183,7 +182,7 @@ mod tests {
         // Production inserts answers; the clone replays the same keys shortly after.
         let mut c = AnswerCache::new(128);
         for key in 0..100u64 {
-            c.insert(key, Bytes::from(vec![key as u8]));
+            c.insert(key, Arc::from(vec![key as u8]));
             if key >= 2 {
                 let _ = c.lookup(key - 2);
             }

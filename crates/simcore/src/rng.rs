@@ -1,12 +1,10 @@
 //! Seeded random number generation for the simulation.
 //!
-//! [`SimRng`] is a small facade over a deterministic PRNG (xoshiro-style,
-//! implemented locally so that streams are stable across `rand` versions) plus
-//! the distributions the experiments need: uniform, normal, exponential,
+//! [`SimRng`] is a small facade over a deterministic PRNG (xoshiro256++,
+//! implemented locally so that streams never change under the experiments)
+//! plus the distributions the experiments need: uniform, normal, exponential,
 //! log-normal and Zipf. Sub-streams can be forked per component so that adding
 //! randomness in one module does not perturb another.
-
-use rand::{Rng, RngCore, SeedableRng};
 
 /// SplitMix64, used to expand seeds.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -63,8 +61,8 @@ impl SimRng {
         }
     }
 
-    fn next(&mut self) -> u64 {
-        // xoshiro256++
+    /// The next raw 64-bit output of the xoshiro256++ stream.
+    pub fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
             .rotate_left(23)
@@ -81,7 +79,7 @@ impl SimRng {
 
     /// Uniform sample in `[0, 1)`.
     pub fn uniform01(&mut self) -> f64 {
-        (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform sample in `[lo, hi)`.
@@ -190,40 +188,6 @@ impl SimRng {
     }
 }
 
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut i = 0;
-        while i < dest.len() {
-            let chunk = self.next().to_le_bytes();
-            let n = (dest.len() - i).min(8);
-            dest[i..i + n].copy_from_slice(&chunk[..n]);
-            i += n;
-        }
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl SeedableRng for SimRng {
-    type Seed = [u8; 8];
-    fn from_seed(seed: Self::Seed) -> Self {
-        SimRng::seed_from_u64(u64::from_le_bytes(seed))
-    }
-}
-
-/// Convenience: draw using any `rand::Rng` API on a `SimRng`.
-pub fn gen_range_f64<R: Rng>(rng: &mut R, lo: f64, hi: f64) -> f64 {
-    rng.gen_range(lo..hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,13 +278,5 @@ mod tests {
         assert!(rng.choose(&v).is_some());
         let empty: Vec<u32> = vec![];
         assert!(rng.choose(&empty).is_none());
-    }
-
-    #[test]
-    fn fill_bytes_fills_everything() {
-        let mut rng = SimRng::seed_from_u64(10);
-        let mut buf = [0u8; 37];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

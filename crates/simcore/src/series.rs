@@ -3,7 +3,6 @@
 //! fractions).
 
 use crate::time::{SimTime, SECS_PER_HOUR};
-use serde::{Deserialize, Serialize};
 
 /// An append-only series of timestamped values.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.len(), 2);
 /// assert_eq!(s.mean(), 15.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeSeries {
     name: String,
     times: Vec<f64>,
