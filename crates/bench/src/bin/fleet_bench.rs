@@ -33,8 +33,9 @@
 //!   non-zero if `shared_lookup_hit_per_sec` regressed more than
 //!   `--max-regress` (default 0.30, i.e. 30%).
 //!
-//! A missing or malformed flag value, or a `--baseline` file that cannot be
-//! read or lacks `shared_lookup_hit_per_sec`, exits 2 before anything runs.
+//! A missing or malformed flag value, a `--baseline` file that cannot be
+//! read or lacks `shared_lookup_hit_per_sec`, or an `--append` target that
+//! exists but is not a fleet-bench trajectory, exits 2 before anything runs.
 
 use dejavu_cloud::ResourceAllocation;
 use dejavu_core::{RepositoryKey, SignatureRepository};
@@ -52,7 +53,10 @@ struct Args {
     quick: bool,
     out: String,
     label: String,
-    append: bool,
+    /// Under `--append`, the existing trajectory at `out`, cut open before
+    /// its closing brackets so this run can be spliced into its `runs`
+    /// array. `None` writes a fresh file.
+    prior_runs: Option<String>,
     /// `shared_lookup_hit_per_sec` of the `--baseline` file.
     baseline: Option<f64>,
     max_regress: f64,
@@ -65,17 +69,18 @@ fn parse_args() -> Args {
         quick: false,
         out: "BENCH_fleet.json".to_string(),
         label: "current".to_string(),
-        append: false,
+        prior_runs: None,
         baseline: None,
         max_regress: 0.30,
         fleets: Vec::new(),
         scale_tenants: None,
     };
+    let mut append = false;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => args.quick = true,
-            "--append" => args.append = true,
+            "--append" => append = true,
             "--out" => args.out = flag_value(&mut it, "--out needs a path"),
             "--label" => args.label = flag_value(&mut it, "--label needs a name"),
             "--baseline" => {
@@ -103,6 +108,9 @@ fn parse_args() -> Args {
             other => usage_error(&format!("unknown flag '{other}'")),
         }
     }
+    if append {
+        args.prior_runs = read_trajectory(&args.out);
+    }
     args
 }
 
@@ -124,6 +132,29 @@ fn read_baseline(path: &str) -> f64 {
             "--baseline {path}: no shared_lookup_hit_per_sec figure"
         ))
     })
+}
+
+/// The trajectory at `path` that `--append` extends, without its closing
+/// `]}`. A missing file starts a fresh trajectory; an unreadable one, or one
+/// that is not a fleet-bench trajectory, is a usage error.
+fn read_trajectory(path: &str) -> Option<String> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+        Err(e) => usage_error(&format!("--append {path}: {e}")),
+    };
+    let trimmed = text.trim();
+    let body = trimmed
+        .strip_suffix("]\n}")
+        .or_else(|| trimmed.strip_suffix("]}"));
+    match body {
+        Some(body) if body.starts_with('{') && body.contains("\"runs\": [") => {
+            Some(body.trim_end().to_string())
+        }
+        _ => usage_error(&format!(
+            "--append {path}: not a fleet-bench trajectory file"
+        )),
+    }
 }
 
 /// The value of a path- or name-taking flag; a missing value, or the next
@@ -1126,23 +1157,9 @@ fn main() {
     }
     run.push_str("      ]\n    }");
 
-    let existing = if args.append {
-        std::fs::read_to_string(&args.out).ok()
-    } else {
-        None
-    };
-    let json = match existing {
+    let json = match &args.prior_runs {
         // Splice the new run into the existing trajectory's `runs` array.
-        Some(prior) => {
-            let trimmed = prior.trim_end();
-            let body = trimmed
-                .strip_suffix("]\n}")
-                .or_else(|| trimmed.strip_suffix("]}"))
-                .unwrap_or_else(|| panic!("{} is not a fleet-bench trajectory file", args.out))
-                .trim_end()
-                .to_string();
-            format!("{body},\n{run}\n  ]\n}}\n")
-        }
+        Some(body) => format!("{body},\n{run}\n  ]\n}}\n"),
         None => format!("{{\n  \"runs\": [\n{run}\n  ]\n}}\n"),
     };
     std::fs::write(&args.out, &json).expect("write BENCH_fleet.json");

@@ -61,3 +61,32 @@ fn unusable_baseline_files_are_rejected_before_the_benchmark_runs() {
     let manifest = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
     assert_rejected(&["--baseline", manifest], "shared_lookup_hit_per_sec");
 }
+
+#[test]
+fn appending_to_a_file_that_is_not_a_trajectory_is_rejected_before_the_benchmark_runs() {
+    let junk = std::env::temp_dir().join(format!(
+        "fleet-bench-junk-trajectory-{}",
+        std::process::id()
+    ));
+    let contents = "not a fleet-bench trajectory\n";
+    std::fs::write(&junk, contents).expect("write the junk file");
+    let path = junk.to_str().expect("utf-8 path");
+    // The smallest benchmark: if validation only happened at write time, the
+    // run would finish before the file was rejected.
+    assert_rejected(
+        &[
+            "--quick",
+            "--fleet",
+            "2:1",
+            "--scale-tenants",
+            "1",
+            "--append",
+            "--out",
+            path,
+        ],
+        "--append",
+    );
+    let after = std::fs::read_to_string(&junk).expect("junk file still readable");
+    std::fs::remove_file(&junk).ok();
+    assert_eq!(after, contents, "the rejected file was modified");
+}

@@ -52,7 +52,7 @@
 use crate::faults::{FaultInjector, FaultSpec};
 use crate::repo_client::RepositoryClient;
 use crate::report::{FleetReport, SharedRepoSnapshot, TenantOutcome};
-use crate::scenario::Scenario;
+use crate::scenario::{EpochWindow, Scenario};
 use crate::shared_repo::{SharedRepoConfig, SharedSignatureRepository};
 use crate::snapshot::SnapshotError;
 use crate::tenant_view::TenantRepoView;
@@ -266,7 +266,7 @@ impl FleetEngine {
         let epochs = windows.iter().map(|w| w.end).max().unwrap_or(0);
         let shared_view = (self.config.sharing == SharingMode::Shared).then_some(&shared);
         let mut runs: Vec<TenantRun> = (0..self.scenario.tenants.len())
-            .map(|index| self.build_run(index, shared_view, origin_secs))
+            .map(|index| self.build_run(index, windows[index], shared_view, origin_secs))
             .collect();
         if let Some(tamper) = tamper {
             tamper(&mut runs);
@@ -279,7 +279,7 @@ impl FleetEngine {
         // pre-crash state bit for bit.
         let respawn_closure = |index: usize, repo: Arc<SharedSignatureRepository>| -> TenantRun {
             let replay: Arc<dyn RepositoryClient> = repo;
-            self.build_run(index, Some(&replay), origin_secs)
+            self.build_run(index, windows[index], Some(&replay), origin_secs)
         };
         let respawn: Option<&RespawnFn<'_>> = match self.config.sharing {
             SharingMode::Shared => Some(&respawn_closure),
@@ -336,16 +336,18 @@ impl FleetEngine {
     /// controller, baselines, tenancy window, repository view. Used both by
     /// the initial prepare pass and by crash recovery (which rebuilds a
     /// tenant against a private replay repository); everything here is a
-    /// pure function of the scenario and `origin_secs`, so a rebuilt tenant
-    /// replayed over the same epochs is bit-identical to the original.
+    /// pure function of the scenario, `window` (the tenant's entry of
+    /// [`Scenario::epoch_windows`], computed once per run by the caller) and
+    /// `origin_secs`, so a rebuilt tenant replayed over the same epochs is
+    /// bit-identical to the original.
     pub(crate) fn build_run(
         &self,
         index: usize,
+        window: EpochWindow,
         shared: Option<&Arc<dyn RepositoryClient>>,
         origin_secs: f64,
     ) -> TenantRun {
         let epoch_secs = self.scenario.epoch.as_secs();
-        let window = self.scenario.epoch_windows()[index];
         let spec = &self.scenario.tenants[index];
         let engine = crate::engine::SimulationEngine::new(spec.run_config(self.scenario.tick));
         let namespace = spec.namespace();
@@ -526,33 +528,49 @@ mod tests {
 
     #[test]
     fn fleet_runs_are_deterministic_across_worker_counts() {
-        let mk = |workers| {
-            FleetEngine::new(
-                tiny_scenario(4),
-                FleetConfig {
-                    workers,
-                    ..Default::default()
-                },
-            )
-            .run()
-        };
-        let one = mk(1);
-        let four = mk(4);
-        for (a, b) in one.tenants.iter().zip(&four.tenants) {
-            assert_eq!(
-                a.dejavu.total_cost, b.dejavu.total_cost,
-                "tenant {}",
-                a.name
-            );
-            assert_eq!(
-                a.dejavu.slo_violation_fraction,
-                b.dejavu.slo_violation_fraction
-            );
-            assert_eq!(a.stats.tunings, b.stats.tunings);
-            assert_eq!(a.cross_tenant_hits, b.cross_tenant_hits);
-            assert_eq!(a.dejavu.latency_ms.values(), b.dejavu.latency_ms.values());
+        // Workers pull tenants from a shared cursor, so which worker steps
+        // which tenant varies from run to run; 50 tenants mix every family.
+        // The output must not vary.
+        let cases = [
+            (tiny_scenario(4), &[4][..]),
+            (crate::scenario::standard_fleet(50, 1, 5), &[2, 3][..]),
+        ];
+        for (scenario, worker_counts) in cases {
+            let mk = |workers| {
+                FleetEngine::new(
+                    scenario.clone(),
+                    FleetConfig {
+                        workers,
+                        ..Default::default()
+                    },
+                )
+                .run()
+            };
+            let one = mk(1);
+            assert!(one.total_fleet_reuses() > 0, "fleet reuse never fired");
+            for &workers in worker_counts {
+                let other = mk(workers);
+                for (a, b) in one.tenants.iter().zip(&other.tenants) {
+                    let label = format!("workers={workers} tenant {}", a.name);
+                    assert_eq!(a.dejavu.total_cost, b.dejavu.total_cost, "{label}");
+                    assert_eq!(
+                        a.dejavu.slo_violation_fraction, b.dejavu.slo_violation_fraction,
+                        "{label}"
+                    );
+                    assert_eq!(a.stats.tunings, b.stats.tunings, "{label}");
+                    assert_eq!(a.cross_tenant_hits, b.cross_tenant_hits, "{label}");
+                    assert_eq!(
+                        a.dejavu.latency_ms.values(),
+                        b.dejavu.latency_ms.values(),
+                        "{label}"
+                    );
+                }
+                assert_eq!(
+                    one.hit_rate_curve, other.hit_rate_curve,
+                    "workers={workers}"
+                );
+            }
         }
-        assert_eq!(one.hit_rate_curve, four.hit_rate_curve);
     }
 
     #[test]
@@ -618,52 +636,60 @@ mod tests {
         // Poisoning a tenant's outbox makes its first buffered publish panic
         // mid-step. Every transport must catch the unwind, retire just that
         // tenant (surfacing the epoch in the report), and let the survivors
-        // run to completion.
-        let poison = |runs: &mut [TenantRun]| {
-            let outbox = Arc::clone(runs[1].outbox.as_ref().expect("shared-mode outbox"));
-            std::thread::spawn(move || {
-                let _guard = outbox.lock().unwrap();
-                panic!("poison tenant 1's outbox");
-            })
-            .join()
-            .unwrap_err();
-        };
-        for transport in [
-            TransportConfig::Bsp,
-            TransportConfig::WorkStealing {
-                threads: 1,
-                staleness: 1,
-            },
-            TransportConfig::WorkStealing {
-                threads: 2,
-                staleness: 0,
-            },
-        ] {
-            let engine = FleetEngine::new(tiny_scenario(3), FleetConfig::default());
-            let shared = Arc::new(SharedSignatureRepository::new(engine.config().repo.clone()));
-            let report = engine.run_tampered(shared, transport.backend().as_ref(), &poison);
-            let label = format!("{transport:?}");
-            assert_eq!(report.tenants_failed(), 1, "{label}");
-            assert!(
-                report.tenants[1].failed_epoch.is_some(),
-                "{label}: the poisoned tenant never failed"
-            );
-            for (i, t) in report.tenants.iter().enumerate() {
-                if i == 1 {
-                    continue;
-                }
-                assert_eq!(t.failed_epoch, None, "{label}: tenant {i}");
+        // run to completion. The 50-tenant case poisons a tenant deep in the
+        // BSP step cursor, long after every worker has pulled its first one.
+        for (tenants, poisoned) in [(3, 1), (50, 37)] {
+            let poison = move |runs: &mut [TenantRun]| {
+                let outbox =
+                    Arc::clone(runs[poisoned].outbox.as_ref().expect("shared-mode outbox"));
+                std::thread::spawn(move || {
+                    let _guard = outbox.lock().unwrap();
+                    panic!("poison tenant {poisoned}'s outbox");
+                })
+                .join()
+                .unwrap_err();
+            };
+            for transport in [
+                TransportConfig::Bsp,
+                TransportConfig::WorkStealing {
+                    threads: 1,
+                    staleness: 1,
+                },
+                TransportConfig::WorkStealing {
+                    threads: 2,
+                    staleness: 0,
+                },
+            ] {
+                let config = FleetConfig {
+                    workers: 3,
+                    ..Default::default()
+                };
+                let engine = FleetEngine::new(tiny_scenario(tenants), config);
+                let shared = Arc::new(SharedSignatureRepository::new(engine.config().repo.clone()));
+                let report = engine.run_tampered(shared, transport.backend().as_ref(), &poison);
+                let label = format!("{transport:?} tenant {poisoned} of {tenants}");
+                assert_eq!(report.tenants_failed(), 1, "{label}");
                 assert!(
-                    t.active_epochs == report.epochs,
-                    "{label}: survivor {i} stepped {} of {} epochs",
-                    t.active_epochs,
-                    report.epochs
+                    report.tenants[poisoned].failed_epoch.is_some(),
+                    "{label}: the poisoned tenant never failed"
+                );
+                for (i, t) in report.tenants.iter().enumerate() {
+                    if i == poisoned {
+                        continue;
+                    }
+                    assert_eq!(t.failed_epoch, None, "{label}: tenant {i}");
+                    assert!(
+                        t.active_epochs == report.epochs,
+                        "{label}: survivor {i} stepped {} of {} epochs",
+                        t.active_epochs,
+                        report.epochs
+                    );
+                }
+                assert!(
+                    report.render().contains("tenants failed"),
+                    "{label}: report hides the failure"
                 );
             }
-            assert!(
-                report.render().contains("tenants failed"),
-                "{label}: report hides the failure"
-            );
         }
     }
 

@@ -415,8 +415,15 @@ impl ScenarioBuilder {
 /// The standard mixed fleet the `fleet` experiment runs: mostly diurnal
 /// tenants, plus spike storms, sine sweeps, interference-heavy co-location and
 /// a SPECweb contingent.
+///
+/// # Panics
+///
+/// If `tenants` is 0.
 pub fn standard_fleet(tenants: usize, days: usize, seed: u64) -> Scenario {
-    let tenants = tenants.max(1);
+    assert!(
+        tenants > 0,
+        "standard_fleet: a fleet needs at least one tenant"
+    );
     let diurnal = (tenants * 40).div_ceil(100);
     let spike = tenants * 15 / 100;
     let sine = tenants * 15 / 100;
@@ -456,6 +463,12 @@ pub fn churn_fleet(tenants: usize, days: usize, seed: u64, warmup_hours: u64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "standard_fleet: a fleet needs at least one tenant")]
+    fn standard_fleet_rejects_an_empty_fleet() {
+        standard_fleet(0, 1, 7);
+    }
 
     #[test]
     fn standard_fleet_has_requested_size_and_unique_ids() {

@@ -6,11 +6,12 @@
 //! bulk-synchronous epoch barrier — inside its run loop. This module turns
 //! that strategy into a pluggable [`CommitTransport`] with two backends:
 //!
-//! * [`BspBarrier`] is the classic engine, verbatim: worker threads step
-//!   disjoint tenant chunks through an epoch, the barrier drains every
-//!   outbox in tenant order, commits one batch per shard, then runs the TTL
-//!   sweep. Mid-epoch the store is frozen, so runs are **bit-deterministic**
-//!   for any worker count. It is the golden reference.
+//! * [`BspBarrier`] is the classic engine: worker threads pull tenants one
+//!   at a time from a shared cursor and step them through an epoch, the
+//!   barrier drains every outbox in tenant order, commits one batch per
+//!   shard, then runs the TTL sweep. Mid-epoch the store is frozen, so runs
+//!   are **bit-deterministic** for any worker count. It is the golden
+//!   reference.
 //! * [`WorkStealing`] is the asynchronous backend: a fixed pool of workers
 //!   pulls per-epoch tenant tasks from shared queues (a global injector
 //!   plus one deque per worker), so a 1000-tenant fleet runs on a handful of
@@ -828,11 +829,36 @@ fn commit_epoch(
     }
 }
 
+/// One [`BspBarrier`] worker's share of an epoch: pulls tenants from the
+/// shared `cursor` until it is empty and steps each through `epoch`. Tenant
+/// families occupy contiguous id ranges, so a fixed contiguous share per
+/// worker would leave the worker holding the cheap families idle at the
+/// barrier; pulling one tenant at a time lets every worker run until the
+/// epoch's work is gone. Returns the tenants whose step panicked.
+fn step_tenants(
+    cursor: &Mutex<std::slice::IterMut<'_, TenantHandle<'_>>>,
+    epoch: usize,
+    ctx: &FleetContext<'_>,
+) -> Vec<usize> {
+    let mut failed = Vec::new();
+    loop {
+        // Bind the tenant first so the cursor is released before stepping.
+        let next = cursor.lock().expect("step cursor poisoned").next();
+        let Some(handle) = next else {
+            return failed;
+        };
+        if catch_unwind(AssertUnwindSafe(|| handle.step_epoch(epoch, ctx))).is_err() {
+            failed.push(handle.index());
+        }
+    }
+}
+
 /// The classic bulk-synchronous barrier transport.
 ///
-/// Within an epoch each worker thread steps a disjoint chunk of tenants,
-/// reading the shared repository through read-only, epoch-frozen snapshots
-/// while buffering writes in per-tenant outboxes. At the epoch barrier the
+/// Within an epoch worker threads pull tenants one at a time from a shared
+/// cursor until every tenant has stepped, reading the shared repository
+/// through read-only, epoch-frozen snapshots while buffering writes in
+/// per-tenant outboxes. At the epoch barrier the
 /// outboxes are drained **in tenant order**, applied through one batched
 /// commit per shard, and the TTL sweep runs. Mid-epoch the shared store never
 /// changes and commits have a fixed order, so the fleet result is a pure
@@ -849,7 +875,7 @@ impl CommitTransport for BspBarrier {
     fn drive(&self, harness: &mut FleetHarness<'_>) -> TransportOutcome {
         let (ctx, mut handles) = harness.split();
         let mut out = TransportOutcome::new(self.name(), handles.len());
-        let chunk_size = handles.len().div_ceil(ctx.workers.max(1)).max(1);
+        let workers = ctx.workers.clamp(1, handles.len().max(1));
         let recorder = ctx.recorder();
         // Per-epoch commit scratch, hoisted out of the epoch loop so capacity
         // carries over: after the first epoch the barrier commit allocates
@@ -865,26 +891,21 @@ impl CommitTransport for BspBarrier {
             // A panicking tenant (service model or poisoned outbox) is
             // caught on its worker, retired at this barrier and surfaced in
             // the outcome — the rest of the fleet finishes its run.
-            let failed_now: Vec<usize> = std::thread::scope(|scope| {
-                let mut joins = Vec::new();
-                for chunk in handles.chunks_mut(chunk_size) {
-                    joins.push(scope.spawn(move || {
-                        let mut failed = Vec::new();
-                        for handle in chunk {
-                            if catch_unwind(AssertUnwindSafe(|| handle.step_epoch(epoch, &ctx)))
-                                .is_err()
-                            {
-                                failed.push(handle.index());
-                            }
-                        }
-                        failed
-                    }));
-                }
-                joins
-                    .into_iter()
-                    .flat_map(|join| join.join().expect("barrier worker panicked"))
-                    .collect()
-            });
+            let mut failed_now: Vec<usize> = {
+                let cursor = Mutex::new(handles.iter_mut());
+                std::thread::scope(|scope| {
+                    let joins: Vec<_> = (0..workers)
+                        .map(|_| scope.spawn(|| step_tenants(&cursor, epoch, &ctx)))
+                        .collect();
+                    joins
+                        .into_iter()
+                        .flat_map(|join| join.join().expect("barrier worker panicked"))
+                        .collect()
+                })
+            };
+            // Which worker stepped a failed tenant depends on scheduling;
+            // retire in tenant order regardless.
+            failed_now.sort_unstable();
             for tenant in failed_now {
                 out.failed[tenant] = Some(epoch);
                 handles[tenant].retire();
